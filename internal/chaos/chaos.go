@@ -238,9 +238,9 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	defer wg.Wait()      // after the conns die, collect the agent goroutines
-	defer srv.Close()    // tears down every registered conn, ending sessions
-	defer close(stop)    // stops reconnect loops from coming back
+	defer wg.Wait()   // after the conns die, collect the agent goroutines
+	defer srv.Close() // tears down every registered conn, ending sessions
+	defer close(stop) // stops reconnect loops from coming back
 	for _, m := range machines {
 		a := transport.NewAgent(m)
 		wg.Add(1)

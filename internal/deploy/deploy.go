@@ -56,6 +56,10 @@ type Node interface {
 	// Integrate applies the upgrade to the production system. Called only
 	// after the node's own validation succeeded, never concurrently.
 	Integrate(ctx context.Context, up *pkgmgr.Upgrade) error
+	// Neither method may mutate up. The controller hands every member the
+	// same sealed copy (pkgmgr.Upgrade.Seal), whose content signature is
+	// memoised: a change made through up would reach later members under
+	// the stale signature.
 }
 
 // Cluster is a cluster of deployment: representatives test first.
@@ -527,6 +531,10 @@ func (ctl *Controller) PlanFor(policy Policy, clusters []*Cluster) *staging.Plan
 // mistake worth naming). Deploy then returns the partial outcome plus an
 // error wrapping ctx.Err().
 func (ctl *Controller) Deploy(ctx context.Context, policy Policy, up *pkgmgr.Upgrade, clusters []*Cluster) (*Outcome, error) {
+	// Every member receives one private sealed copy, digested once here
+	// instead of once per member RPC, and immune to later changes the
+	// caller makes to up.
+	up = up.Seal()
 	out := &Outcome{Policy: policy, Nodes: make(map[string]*NodeStatus), FinalID: up.ID}
 	if ctl.Transfer != nil {
 		before := ctl.Transfer()
@@ -987,7 +995,9 @@ func (r *waveRunner) debug(stage int) bool {
 		return false
 	}
 	prev := r.up.ID
-	r.up = fixed
+	// Seal the fix even when the Fixer returned the pointer it was given:
+	// a Fixer that edited the sealed copy in place left its memo stale.
+	r.up = fixed.Seal()
 	r.emit(Event{Type: EventFixReleased, Stage: stage, UpgradeID: fixed.ID, PrevID: prev, Round: out.Rounds})
 	return true
 }

@@ -38,6 +38,7 @@ type RollbackOutcome struct {
 // quarantined or unreachable member is skipped with a journaled reason
 // rather than blocking completion; EventRollbackCompleted seals the pass.
 func (ctl *Controller) Rollback(ctx context.Context, baseline *pkgmgr.Upgrade, clusters []*Cluster, out *Outcome, done map[string]bool) (*RollbackOutcome, error) {
+	baseline = baseline.Seal()
 	ro := &RollbackOutcome{BaselineID: baseline.ID, Skipped: map[string]string{}}
 	emit := func(ev Event) error {
 		if ctl.Observer == nil {

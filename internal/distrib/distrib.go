@@ -25,6 +25,7 @@
 package distrib
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -50,8 +51,11 @@ type FileManifest struct {
 }
 
 // Manifest is the content-addressed form of a pkgmgr.Upgrade: all the
-// metadata, none of the bytes.
+// metadata, none of the bytes. Sig is the upgrade's content signature
+// (pkgmgr.Upgrade.Signature), which names the manifest on the wire once
+// an agent holds it.
 type Manifest struct {
+	Sig        uint64              `json:"sig"`
 	ID         string              `json:"id"`
 	Name       string              `json:"name"`
 	Version    string              `json:"version"`
@@ -60,6 +64,20 @@ type Manifest struct {
 	Files      []FileManifest      `json:"files"`
 	Deps       []pkgmgr.Dependency `json:"deps,omitempty"`
 	Migrations []pkgmgr.FileEdit   `json:"migrations,omitempty"`
+
+	// raw is the JSON encoding, made once by the Store that built the
+	// manifest: a published manifest is never modified.
+	raw json.RawMessage
+}
+
+// JSON returns the manifest's JSON encoding. A manifest built by a Store
+// was encoded once, when it was built, and every call returns those bytes;
+// any other manifest is encoded on each call.
+func (m *Manifest) JSON() (json.RawMessage, error) {
+	if m.raw != nil {
+		return m.raw, nil
+	}
+	return json.Marshal(m)
 }
 
 // ChunkCount returns the number of chunk references across all files
@@ -97,7 +115,7 @@ type Store struct {
 	chunker   *fingerprint.Chunker
 	chunks    map[uint64][]byte
 	bytes     int64
-	manifests map[uint64]*Manifest // by upgrade content signature
+	manifests map[uint64]*Manifest // by pkgmgr.Upgrade.Signature
 }
 
 // NewStore returns an empty store using the default LBFS chunking
@@ -110,40 +128,6 @@ func NewStore() *Store {
 	}
 }
 
-// upgradeSignature digests everything a manifest is derived from —
-// metadata, migrations, and full file contents. Manifests are cached
-// under this signature rather than the upgrade ID, so an upgrade whose
-// bytes changed under a reused ID (a careless Fixer, say) re-chunks
-// instead of silently distributing the stale content. One whole-content
-// hash pass per push is cheap next to chunking, which stays amortized.
-func upgradeSignature(up *pkgmgr.Upgrade) uint64 {
-	hashBool := func(b bool) uint64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	parts := []uint64{
-		fingerprint.HashString(up.ID),
-		fingerprint.HashString(up.Pkg.Name),
-		fingerprint.HashString(up.Pkg.Version),
-		fingerprint.HashString(up.Replaces),
-		hashBool(up.Urgent),
-	}
-	for _, d := range up.Pkg.Dependencies {
-		parts = append(parts, fingerprint.HashString(d.Name), fingerprint.HashString(d.MinVersion))
-	}
-	for _, e := range up.Migrations {
-		parts = append(parts, fingerprint.HashString(e.Path),
-			fingerprint.HashBytes(e.SetData), fingerprint.HashBytes(e.Append), hashBool(e.Remove))
-	}
-	for _, f := range up.Pkg.Files {
-		parts = append(parts, fingerprint.HashString(f.Path), uint64(f.Type),
-			fingerprint.HashString(f.Version), fingerprint.HashBytes(f.Data))
-	}
-	return fingerprint.CombineHashes(parts...)
-}
-
 // put records one chunk. Callers hold s.mu.
 func (s *Store) put(addr uint64, data []byte) {
 	if _, ok := s.chunks[addr]; ok {
@@ -154,19 +138,21 @@ func (s *Store) put(addr uint64, data []byte) {
 }
 
 // Manifest cuts the upgrade's files into addressed chunks, stores every
-// chunk, and returns the manifest. Results are cached by content
-// signature, so pushing one upgrade to a thousand machines chunks it
-// once — and a changed upgrade is never served a stale manifest, even
-// under a reused ID.
+// chunk, and returns the manifest, encoded once as JSON. Results are
+// cached by content signature, so pushing one upgrade to a thousand
+// machines chunks it once — and a changed upgrade is never served a stale
+// manifest, even under a reused ID. On a sealed upgrade (pkgmgr.Upgrade.Seal)
+// the signature is a memo, so a repeat lookup costs no hashing either; an
+// unsealed upgrade is rehashed in full on every call.
 func (s *Store) Manifest(up *pkgmgr.Upgrade) *Manifest {
-	sig := upgradeSignature(up)
+	sig := up.Signature()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m, ok := s.manifests[sig]; ok {
 		return m
 	}
 	m := &Manifest{
-		ID: up.ID, Name: up.Pkg.Name, Version: up.Pkg.Version,
+		Sig: sig, ID: up.ID, Name: up.Pkg.Name, Version: up.Pkg.Version,
 		Replaces: up.Replaces, Urgent: up.Urgent,
 		Deps:       append([]pkgmgr.Dependency(nil), up.Pkg.Dependencies...),
 		Migrations: append([]pkgmgr.FileEdit(nil), up.Migrations...),
@@ -178,6 +164,9 @@ func (s *Store) Manifest(up *pkgmgr.Upgrade) *Manifest {
 			fm.Chunks = append(fm.Chunks, ChunkRef{Hash: ch.Address, Size: ch.Length})
 		}
 		m.Files = append(m.Files, fm)
+	}
+	if raw, err := json.Marshal(m); err == nil {
+		m.raw = raw
 	}
 	s.manifests[sig] = m
 	return m

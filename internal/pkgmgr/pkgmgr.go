@@ -66,6 +66,9 @@ type Upgrade struct {
 	Urgent   bool   // urgent upgrades may bypass staging entirely
 	// Migrations run after the package files are written.
 	Migrations []FileEdit
+
+	// seal memoises the content signature of a Seal copy.
+	seal *sealMemo
 }
 
 // Repository is the vendor-side package store.

@@ -174,7 +174,7 @@ func TestKeyDistinguishesProfiles(t *testing.T) {
 
 type nullNode struct{ name string }
 
-func (n *nullNode) Name() string                                        { return n.name }
+func (n *nullNode) Name() string { return n.name }
 func (n *nullNode) TestUpgrade(context.Context, *pkgmgr.Upgrade) (*report.Report, error) {
 	return nil, nil
 }

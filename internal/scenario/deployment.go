@@ -45,12 +45,18 @@ func PaperDeployment(placement Placement) []simulator.ClusterSpec {
 	return Deployment(PaperMachines, PaperClusters, PaperPrevalentPct, placement)
 }
 
+// MinClusters is the fewest clusters Deployment accepts for its three
+// problem groups.
+const MinClusters = 5
+
 // Deployment builds a parameterized version of the scenario: total
 // machines in nClusters equal clusters; the prevalent problem covers
 // prevalentPct percent of machines (rounded to whole clusters, at least
-// one); two non-prevalent problems affect one cluster each.
+// one); two non-prevalent problems affect one cluster each. It panics
+// unless MinClusters <= nClusters <= machines: callers taking these from
+// operator input validate them first.
 func Deployment(machines, nClusters, prevalentPct int, placement Placement) []simulator.ClusterSpec {
-	if nClusters < 5 {
+	if nClusters < MinClusters {
 		panic("scenario: need at least 5 clusters for 3 problem groups")
 	}
 	size := machines / nClusters

@@ -69,9 +69,21 @@ type Agent struct {
 	watchMu sync.Mutex
 	watch   map[string]*watchState
 
+	// manMu guards manifests, the manifests this agent received in full,
+	// by signature, so later requests may name them by signature alone.
+	// At most maxAgentManifests are kept; the oldest goes first.
+	manMu     sync.Mutex
+	manifests map[uint64]*WireManifest
+	manOrder  []uint64
+
 	peerLn                          net.Listener
 	peerReqs, peerChunks, peerBytes atomic.Int64
 }
+
+// maxAgentManifests bounds the manifests an agent keeps. A rollout needs
+// one at a time, a rollback the baseline's next to it; a request naming an
+// evicted manifest costs one NeedManifest round trip, never a failure.
+const maxAgentManifests = 4
 
 // NewAgent returns an agent managing machine m.
 func NewAgent(m *machine.Machine) *Agent {
@@ -84,6 +96,7 @@ func NewAgent(m *machine.Machine) *Agent {
 		local:      make(map[string][]string),
 		vendorRefs: make(map[string][]string),
 		watch:      make(map[string]*watchState),
+		manifests:  make(map[uint64]*WireManifest),
 	}
 }
 
@@ -278,12 +291,12 @@ func (a *Agent) handle(req Frame) Frame {
 		if req.Test == nil {
 			return errFrame("test payload missing")
 		}
-		return a.handleTest(*req.Test)
+		return a.handleTest(req.Test)
 	case OpIntegrate:
 		if req.Integrate == nil {
 			return errFrame("integrate payload missing")
 		}
-		return a.handleIntegrate(*req.Integrate)
+		return a.handleIntegrate(req.Integrate)
 	case OpFetchChunks:
 		if req.FetchChunks == nil {
 			return errFrame("fetch_chunks payload missing")
@@ -324,27 +337,65 @@ func (a *Agent) handleRecord(req RecordReq) Frame {
 	return Frame{OK: true, Status: rec.Trace.ExitStatus()}
 }
 
-// resolveUpgrade produces the full upgrade from a test/integrate request.
-// Inline requests decode directly. Manifest requests resolve against the
-// chunk cache: the agent first seeds the cache from its installed files
-// (so the unchanged bulk of a version upgrade is already local), then
-// either assembles the upgrade entirely from cache or returns the missing
-// chunk set for the vendor to push.
-func (a *Agent) resolveUpgrade(up *WireUpgrade, man *WireManifest) (*pkgmgr.Upgrade, []uint64, error) {
-	if man != nil {
-		if a.SeedCache {
-			a.Cache.SeedMachine(a.M)
-		}
-		if need := a.Cache.Missing(man); len(need) > 0 {
-			return nil, need, nil
-		}
-		u, err := a.Cache.Assemble(man)
-		return u, nil, err
+// resolveUpgrade produces the full upgrade from a test/integrate request,
+// or the reply the vendor must act on first. Inline requests decode
+// directly. Manifest requests resolve against the chunk cache: the agent
+// first seeds the cache from its installed files (so the unchanged bulk of
+// a version upgrade is already local), then either assembles the upgrade
+// entirely from cache or returns the missing chunk set for the vendor to
+// push. A request naming a manifest the agent does not hold is answered
+// NeedManifest.
+func (a *Agent) resolveUpgrade(req *UpgradeReq) (*pkgmgr.Upgrade, *Frame) {
+	if req.Upgrade != nil {
+		return UpgradeFromWire(*req.Upgrade), nil
 	}
-	if up != nil {
-		return UpgradeFromWire(*up), nil, nil
+	man, err := a.manifest(req)
+	if err != nil {
+		reply := errFrame(err.Error())
+		return nil, &reply
 	}
-	return nil, nil, fmt.Errorf("neither upgrade nor manifest present")
+	if man == nil {
+		return nil, &Frame{OK: true, NeedManifest: true}
+	}
+	if a.SeedCache {
+		a.Cache.SeedMachine(a.M)
+	}
+	if need := a.Cache.Missing(man); len(need) > 0 {
+		return nil, &Frame{OK: true, NeedChunks: need}
+	}
+	u, err := a.Cache.Assemble(man)
+	if err != nil {
+		reply := errFrame(err.Error())
+		return nil, &reply
+	}
+	return u, nil
+}
+
+// manifest returns the manifest a request names: decoded and kept when
+// the request carries it, looked up by signature when it does not (nil
+// when the agent no longer holds it).
+func (a *Agent) manifest(req *UpgradeReq) (*WireManifest, error) {
+	if req.Manifest == nil && req.ManifestSig == 0 {
+		return nil, fmt.Errorf("neither upgrade nor manifest present")
+	}
+	a.manMu.Lock()
+	defer a.manMu.Unlock()
+	if req.Manifest == nil {
+		return a.manifests[req.ManifestSig], nil
+	}
+	man, err := decodeManifest(req)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := a.manifests[man.Sig]; !ok {
+		if len(a.manOrder) == maxAgentManifests {
+			delete(a.manifests, a.manOrder[0])
+			a.manOrder = a.manOrder[1:]
+		}
+		a.manOrder = append(a.manOrder, man.Sig)
+	}
+	a.manifests[man.Sig] = man
+	return man, nil
 }
 
 func (a *Agent) handleFetchChunks(req FetchChunksReq) Frame {
@@ -396,13 +447,10 @@ func (a *Agent) handleFingerprint(raw json.RawMessage) Frame {
 	return Frame{Diff: ItemsToWire(diff), AppSet: a.M.AppSetKey(), OK: true}
 }
 
-func (a *Agent) handleTest(req TestReq) Frame {
-	up, need, err := a.resolveUpgrade(req.Upgrade, req.Manifest)
-	if err != nil {
-		return errFrame(err.Error())
-	}
-	if len(need) > 0 {
-		return Frame{OK: true, NeedChunks: need}
+func (a *Agent) handleTest(req *UpgradeReq) Frame {
+	up, reply := a.resolveUpgrade(req)
+	if reply != nil {
+		return *reply
 	}
 	val := vmtest.NewValidator(a.M, pkgmgr.NewRepository(), a.Store)
 	val.ResourcesByApp = a.allResources()
@@ -423,13 +471,10 @@ func (a *Agent) handleTest(req TestReq) Frame {
 	return Frame{Report: out, OK: true}
 }
 
-func (a *Agent) handleIntegrate(req IntegrateReq) Frame {
-	up, need, err := a.resolveUpgrade(req.Upgrade, req.Manifest)
-	if err != nil {
-		return errFrame(err.Error())
-	}
-	if len(need) > 0 {
-		return Frame{OK: true, NeedChunks: need}
+func (a *Agent) handleIntegrate(req *UpgradeReq) Frame {
+	up, reply := a.resolveUpgrade(req)
+	if reply != nil {
+		return *reply
 	}
 	mgr := pkgmgr.NewManager(a.M, pkgmgr.NewRepository())
 	if _, err := mgr.Apply(up); err != nil {

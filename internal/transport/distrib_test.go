@@ -1,8 +1,8 @@
 package transport
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 	"time"

@@ -1,8 +1,8 @@
 package transport
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/apps"
@@ -62,7 +62,7 @@ func TestBinaryFramingZeroExpansion(t *testing.T) {
 	if binSt.ChunkBytesSent < size {
 		t.Fatalf("binary push moved %d chunk bytes for a %d payload — test is vacuous", binSt.ChunkBytesSent, size)
 	}
-	// Headers: a ChunkMeta entry and two manifest sends per push, tens of
+	// Headers: a ChunkMeta entry and the manifest frames per push, tens of
 	// bytes per chunk against ~4KB chunks. An eighth of the payload is a
 	// generous ceiling that base64 (+33%) cannot hide under.
 	binOverhead := binSt.BytesSent - binSt.ChunkBytesSent

@@ -130,6 +130,11 @@ type agentConn struct {
 	// decode error the closed socket would produce.
 	replaced atomic.Bool
 
+	// ackedSig is the signature of the last manifest the agent
+	// acknowledged receiving in full on this connection (0: none). Pushes
+	// of that manifest name it by signature instead of re-sending it.
+	ackedSig atomic.Uint64
+
 	mu     sync.Mutex // serializes RPCs on the channel
 	nextID int
 }
@@ -261,6 +266,10 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 	// callback has already started when the call returns, wait it out:
 	// a stale deadline-yank landing after a *successful* call would
 	// poison the channel's next RPC with a spurious agent-gone failure.
+	//
+	// Once the call is over its deadline is cleared. An armed deadline on
+	// a net.Pipe keeps the pipe reachable from the runtime's timer until
+	// it fires, 30 s on; cleared, a closed pipe is garbage at once.
 	yanked := make(chan struct{})
 	stop := context.AfterFunc(ctx, func() {
 		defer close(yanked)
@@ -270,6 +279,7 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 		if !stop() {
 			<-yanked
 		}
+		ac.conn.SetDeadline(time.Time{})
 	}()
 	if err := ac.fc.WriteFrame(req); err != nil {
 		return Frame{}, ac.fail(ctx, "sending "+req.Op, err)
@@ -431,6 +441,12 @@ type Server struct {
 	// surviving reconnects and replacements.
 	stats statsCounters
 }
+
+// controlBufSize sizes the vendor's read and write buffers on each agent
+// control channel. Control frames are a few hundred bytes, larger ones
+// (a full manifest, a chunk body) simply take several buffer fills, and
+// at 10k agents every per-connection kilobyte is 10 MB.
+const controlBufSize = 1024
 
 // DefaultMaxPending bounds concurrent registration handshakes per accept
 // loop when ListenOpts.MaxPending is zero.
@@ -735,7 +751,7 @@ func (s *Server) register(conn net.Conn) {
 		delete(s.pending, conn)
 		s.mu.Unlock()
 	}
-	fc := newFrameConn(bufio.NewReader(conn), nil)
+	fc := newFrameConn(bufio.NewReaderSize(conn, controlBufSize), nil)
 	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		unpend()
 		conn.Close()
@@ -778,7 +794,7 @@ func (s *Server) register(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	st := &statsCounters{}
-	bw := bufio.NewWriter(&countingWriter{w: conn, conn: st, total: &s.stats})
+	bw := bufio.NewWriterSize(&countingWriter{w: conn, conn: st, total: &s.stats}, controlBufSize)
 	fc.bw = bw
 	ac := &agentConn{
 		name: hello.Register.Machine, conn: conn, srv: s,
@@ -1021,22 +1037,24 @@ func (s *Server) Node(name string) *RemoteNode {
 // Name implements deploy.Node.
 func (r *RemoteNode) Name() string { return r.name }
 
-// upgradeFrame builds the test/integrate request frame for the chosen
-// distribution mode.
-func upgradeFrame(op string, up *WireUpgrade, man *WireManifest) Frame {
+// upgradeFrame builds the test/integrate request frame.
+func upgradeFrame(op string, ur UpgradeReq) Frame {
 	req := Frame{Op: op}
 	switch op {
 	case OpTest:
-		req.Test = &TestReq{Upgrade: up, Manifest: man}
+		req.Test = &ur
 	case OpIntegrate:
-		req.Integrate = &IntegrateReq{Upgrade: up, Manifest: man}
+		req.Integrate = &ur
 	}
 	return req
 }
 
 // pushUpgrade performs one test or integrate RPC on the agent. In inline
 // mode the complete upgrade travels in the frame. In chunked mode the
-// frame carries only the manifest; if the agent reports missing chunks,
+// frame carries only the manifest — in full the first time this
+// connection sees it, by signature once the agent has acknowledged it
+// (an agent that lost it answers NeedManifest and gets it in full
+// again). If the agent reports missing chunks,
 // the peer tier is tried first (a directed OpPeerFetch against hinted
 // gated peers), the remainder is pushed with OpFetchChunks — a binary
 // chunk frame by default, base64-in-JSON under s.JSONChunks — and the
@@ -1051,9 +1069,13 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 	}
 	if s.InlinePayloads {
 		w := UpgradeToWire(up)
-		return ac.call(ctx, upgradeFrame(op, &w, nil), s.Timeout)
+		return ac.call(ctx, upgradeFrame(op, UpgradeReq{Upgrade: &w}), s.Timeout)
 	}
 	man := s.dist.Manifest(up)
+	raw, err := man.JSON()
+	if err != nil {
+		return Frame{}, fmt.Errorf("transport: encoding manifest of %s: %w", up.ID, err)
+	}
 	first := true
 	attempts := 3
 	if s.Faults != nil {
@@ -1063,9 +1085,24 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 		attempts = 8
 	}
 	for attempt := 0; attempt < attempts; attempt++ {
-		resp, err := ac.call(ctx, upgradeFrame(op, nil, man), s.Timeout)
+		req := UpgradeReq{ManifestSig: man.Sig}
+		full := ac.ackedSig.Load() != man.Sig
+		if full {
+			req.Manifest = raw
+		}
+		resp, err := ac.call(ctx, upgradeFrame(op, req), s.Timeout)
 		if err != nil {
 			return Frame{}, err
+		}
+		if resp.NeedManifest {
+			if full {
+				return Frame{}, fmt.Errorf("transport: agent %s asked again for the manifest of %s", name, up.ID)
+			}
+			ac.ackedSig.CompareAndSwap(man.Sig, 0)
+			continue
+		}
+		if full {
+			ac.ackedSig.Store(man.Sig)
 		}
 		if first {
 			// The first response fixes the hit/miss split for this push;

@@ -15,12 +15,14 @@ import (
 // SimFleet is the scale harness: thousands of protocol-faithful simulated
 // agents in one process. Each sim agent speaks the real wire protocol on
 // a real connection — registration handshake, manifest negotiation,
-// NeedChunks, binary and JSON chunk bodies — but replaces the expensive
-// agent internals with the cheapest possible stand-ins: validation is a
-// canned successful report instead of a vmtest run, integration is a
-// counter bump instead of a package-manager transaction, and every agent
-// shares one verifying chunk cache, so an upgrade's bytes cross the wire
-// once per fleet instead of once per agent.
+// NeedManifest, NeedChunks, binary and JSON chunk bodies — but replaces
+// the expensive agent internals with the cheapest possible stand-ins:
+// validation is a canned successful report instead of a vmtest run,
+// integration is a counter bump instead of a package-manager transaction,
+// and every agent shares one verifying chunk cache, so an upgrade's bytes
+// cross the wire once per fleet instead of once per agent. Manifests are
+// shared the same way: each sim agent remembers only the signature of the
+// manifest it last received, and the fleet decodes each manifest once.
 //
 // Two transports:
 //
@@ -40,6 +42,11 @@ type SimFleet struct {
 	mu     sync.Mutex
 	conns  map[string]net.Conn
 	closed bool
+
+	// manMu guards manifests, every manifest the fleet decoded, by
+	// signature.
+	manMu     sync.Mutex
+	manifests map[uint64]*WireManifest
 
 	wg         sync.WaitGroup
 	tested     atomic.Int64
@@ -96,7 +103,8 @@ func StartSimFleet(n int, opts SimOptions) (*SimFleet, error) {
 		spawn = n
 	}
 
-	f := &SimFleet{cache: opts.Cache, opts: opts, names: make([]string, n), conns: make(map[string]net.Conn, n)}
+	f := &SimFleet{cache: opts.Cache, opts: opts, names: make([]string, n),
+		conns: make(map[string]net.Conn, n), manifests: make(map[uint64]*WireManifest)}
 	for i := range f.names {
 		f.names[i] = fmt.Sprintf("%s-%06d", prefix, i)
 	}
@@ -234,6 +242,8 @@ func (f *SimFleet) serve(name string, conn net.Conn) {
 	if err := bw.Flush(); err != nil {
 		return
 	}
+	// held is the signature of the manifest this session last received.
+	var held uint64
 	for {
 		var req Frame
 		if err := fc.ReadFrame(&req); err != nil {
@@ -258,7 +268,7 @@ func (f *SimFleet) serve(name string, conn net.Conn) {
 				dieAfter = true
 			}
 		}
-		resp, err := f.handle(name, fc, &req)
+		resp, err := f.handle(name, fc, &req, &held)
 		if err != nil {
 			return // the stream is desynchronized; die like a real agent
 		}
@@ -276,24 +286,53 @@ func (f *SimFleet) serve(name string, conn net.Conn) {
 }
 
 // resolve performs the manifest-or-inline negotiation for a test or
-// integrate request: report what the shared cache is missing, or accept.
-func (f *SimFleet) resolve(up *WireUpgrade, man *WireManifest) (id string, need []uint64) {
-	if man != nil {
-		if miss := f.cache.Missing(man); len(miss) > 0 {
-			return man.ID, miss
+// integrate request: ask for a manifest the session does not hold, report
+// what the shared cache is missing, or accept. held is the session's
+// one-slot manifest memory.
+func (f *SimFleet) resolve(req *UpgradeReq, held *uint64) (id string, reply *Frame) {
+	if req.Upgrade != nil {
+		return req.Upgrade.ID, nil
+	}
+	switch {
+	case req.Manifest != nil:
+		if err := f.learn(req); err != nil {
+			return "", &Frame{Err: "sim: " + err.Error()}
 		}
-		return man.ID, nil
+		*held = req.ManifestSig
+	case req.ManifestSig == 0:
+		return "", &Frame{Err: "sim: neither upgrade nor manifest present"}
+	case req.ManifestSig != *held:
+		return "", &Frame{OK: true, NeedManifest: true}
 	}
-	if up != nil {
-		return up.ID, nil
+	f.manMu.Lock()
+	man := f.manifests[req.ManifestSig]
+	f.manMu.Unlock()
+	if miss := f.cache.Missing(man); len(miss) > 0 {
+		return man.ID, &Frame{OK: true, NeedChunks: miss}
 	}
-	return "", nil
+	return man.ID, nil
+}
+
+// learn records the manifest a request carries in the fleet-wide map,
+// decoding it only when no agent of the fleet has before.
+func (f *SimFleet) learn(req *UpgradeReq) error {
+	f.manMu.Lock()
+	defer f.manMu.Unlock()
+	if _, ok := f.manifests[req.ManifestSig]; ok {
+		return nil
+	}
+	man, err := decodeManifest(req)
+	if err != nil {
+		return err
+	}
+	f.manifests[man.Sig] = man
+	return nil
 }
 
 // handle answers one vendor RPC with the cheapest protocol-correct
 // response. An error return means the connection must die (unreadable
 // binary body).
-func (f *SimFleet) handle(name string, fc *frameConn, req *Frame) (Frame, error) {
+func (f *SimFleet) handle(name string, fc *frameConn, req *Frame, held *uint64) (Frame, error) {
 	switch req.Op {
 	case OpPing:
 		return Frame{OK: true}, nil
@@ -301,9 +340,9 @@ func (f *SimFleet) handle(name string, fc *frameConn, req *Frame) (Frame, error)
 		if req.Test == nil {
 			return Frame{Err: "sim: test without payload"}, nil
 		}
-		id, need := f.resolve(req.Test.Upgrade, req.Test.Manifest)
-		if len(need) > 0 {
-			return Frame{OK: true, NeedChunks: need}, nil
+		id, reply := f.resolve(req.Test, held)
+		if reply != nil {
+			return *reply, nil
 		}
 		f.tested.Add(1)
 		return Frame{OK: true, Report: &report.Report{
@@ -313,9 +352,8 @@ func (f *SimFleet) handle(name string, fc *frameConn, req *Frame) (Frame, error)
 		if req.Integrate == nil {
 			return Frame{Err: "sim: integrate without payload"}, nil
 		}
-		_, need := f.resolve(req.Integrate.Upgrade, req.Integrate.Manifest)
-		if len(need) > 0 {
-			return Frame{OK: true, NeedChunks: need}, nil
+		if _, reply := f.resolve(req.Integrate, held); reply != nil {
+			return *reply, nil
 		}
 		f.integrated.Add(1)
 		return Frame{OK: true}, nil

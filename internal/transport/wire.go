@@ -14,6 +14,7 @@ package transport
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"repro/internal/distrib"
 	"repro/internal/machine"
@@ -38,8 +39,8 @@ type Frame struct {
 	Identify    *IdentifyReq     `json:"identify,omitempty"`
 	Record      *RecordReq       `json:"record,omitempty"`
 	Fingerprint json.RawMessage  `json:"fingerprint,omitempty"`
-	Test        *TestReq         `json:"test,omitempty"`
-	Integrate   *IntegrateReq    `json:"integrate,omitempty"`
+	Test        *UpgradeReq      `json:"test,omitempty"`
+	Integrate   *UpgradeReq      `json:"integrate,omitempty"`
 	FetchChunks *FetchChunksReq  `json:"fetch_chunks,omitempty"`
 	PeerFetch   *PeerFetchReq    `json:"peer_fetch,omitempty"`
 	Delta       *ProfileDeltaReq `json:"delta,omitempty"`
@@ -56,11 +57,15 @@ type Frame struct {
 	Diff      []WireItem     `json:"diff,omitempty"`
 	AppSet    string         `json:"appset,omitempty"`
 	Report    *report.Report `json:"report,omitempty"`
-	// NeedChunks is the agent's reply to a manifest-bearing test or
-	// integrate request whose chunks are not all cached yet: the missing
+	// NeedChunks is the agent's reply to a test or integrate request whose
+	// manifest's chunks are not all cached yet: the missing
 	// content addresses. The vendor answers with an OpFetchChunks push and
 	// then re-issues the original request, which by then resolves locally.
 	NeedChunks []uint64 `json:"need_chunks,omitempty"`
+	// NeedManifest is the agent's reply to a request naming a manifest
+	// only by signature (UpgradeReq.ManifestSig) that it does not hold:
+	// the vendor re-sends the request with the manifest in full.
+	NeedManifest bool `json:"need_manifest,omitempty"`
 	// Peer is the agent's report of an OpPeerFetch round: how much the
 	// peer tier served (and which peers were dropped), so the vendor's
 	// transfer counters see bytes it never itself moved.
@@ -156,19 +161,34 @@ type FingerprintReq struct {
 // verbatim — the distribution layer owns the format.
 type WireManifest = distrib.Manifest
 
-// TestReq asks the agent to validate the upgrade in isolation. Exactly one
-// of Upgrade (legacy inline payload, Server.InlinePayloads) and Manifest
-// (content-addressed chunked distribution, the default) is set.
-type TestReq struct {
-	Upgrade  *WireUpgrade  `json:"upgrade,omitempty"`
-	Manifest *WireManifest `json:"manifest,omitempty"`
+// UpgradeReq is the payload of a test request (validate the upgrade in
+// isolation) and of an integrate request (apply the validated upgrade).
+// Exactly one form names the upgrade:
+//
+//   - Upgrade alone: the complete upgrade inline (Server.InlinePayloads).
+//   - Manifest and ManifestSig: the JSON-encoded distrib manifest and its
+//     signature. The vendor encodes it once per upgrade and sends it only
+//     while this connection has not acknowledged that signature.
+//   - ManifestSig alone: names a manifest the agent acknowledged before.
+//     An agent that no longer holds it replies NeedManifest, and the
+//     vendor re-sends it in full.
+type UpgradeReq struct {
+	Upgrade     *WireUpgrade    `json:"upgrade,omitempty"`
+	Manifest    json.RawMessage `json:"manifest,omitempty"`
+	ManifestSig uint64          `json:"manifest_sig,omitempty"`
 }
 
-// IntegrateReq asks the agent to apply the validated upgrade, with the
-// same inline/manifest choice as TestReq.
-type IntegrateReq struct {
-	Upgrade  *WireUpgrade  `json:"upgrade,omitempty"`
-	Manifest *WireManifest `json:"manifest,omitempty"`
+// decodeManifest decodes the manifest a request carries and checks it is
+// the one the request's signature names.
+func decodeManifest(req *UpgradeReq) (*WireManifest, error) {
+	man := new(WireManifest)
+	if err := json.Unmarshal(req.Manifest, man); err != nil {
+		return nil, fmt.Errorf("manifest malformed: %w", err)
+	}
+	if man.Sig != req.ManifestSig {
+		return nil, fmt.Errorf("manifest signature %x does not match request signature %x", man.Sig, req.ManifestSig)
+	}
+	return man, nil
 }
 
 // FetchChunksReq carries the chunk bytes for a reported missing set in
