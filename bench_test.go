@@ -554,12 +554,12 @@ func BenchmarkDistribution(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				last = runDistributionDeployment(b, mode == "inline")
 			}
-			b.ReportMetric(float64(last.Bytes), "wirebytes/op")
+			b.ReportMetric(float64(last.BytesSent), "wirebytes/op")
 			b.ReportMetric(float64(last.ChunkBytes), "chunkbytes/op")
 			results[mode] = &modeResult{
-				WireBytes:  last.Bytes,
+				WireBytes:  last.BytesSent,
 				ChunkBytes: last.ChunkBytes,
-				Frames:     last.Frames,
+				Frames:     last.FramesSent,
 				NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 			}
 		})
@@ -713,7 +713,7 @@ func BenchmarkSwarm(b *testing.B) {
 				b.ReportMetric(float64(last.PeerBytes), "peerbytes/op")
 				results[mode][fleet] = &sizeResult{
 					VendorChunkBytes: last.ChunkBytes,
-					VendorBytes:      last.Bytes,
+					VendorBytes:      last.BytesSent,
 					PeerBytes:        last.PeerBytes,
 					PeerHits:         last.PeerHits,
 					VendorFallbacks:  last.VendorFallbacks,
@@ -929,8 +929,8 @@ func BenchmarkRolloutChurn(b *testing.B) {
 			"killed":      churnKilled,
 			"integrated":  float64(last.Integrated()),
 			"quarantined": float64(len(last.Quarantined)),
-			"wire_bytes":  float64(last.Transfer.Bytes),
-			"frames":      float64(last.Transfer.Frames),
+			"wire_bytes":  float64(last.Transfer.BytesSent),
+			"frames":      float64(last.Transfer.FramesSent),
 			"ns_per_op":   float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 		},
 	}}); err != nil {

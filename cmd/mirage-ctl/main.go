@@ -258,7 +258,7 @@ func printStatus(st orchestrator.Status) {
 	}
 	if st.Transfer != nil {
 		fmt.Printf("  transfer bytes=%d chunk_bytes=%d chunk_hits=%d chunk_misses=%d peer_bytes=%d peer_hits=%d vendor_fallbacks=%d rollback_chunks=%d faults_injected=%d\n",
-			st.Transfer.Bytes, st.Transfer.ChunkBytes, st.Transfer.ChunkHits,
+			st.Transfer.BytesSent, st.Transfer.ChunkBytes, st.Transfer.ChunkHits,
 			st.Transfer.ChunkMisses, st.Transfer.PeerBytes, st.Transfer.PeerHits,
 			st.Transfer.VendorFallbacks, st.Transfer.ChunksRolledBack, st.Transfer.FaultsInjected)
 	}

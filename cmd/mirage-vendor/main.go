@@ -32,7 +32,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -124,7 +123,6 @@ func main() {
 	parallel := flag.Int("parallel", deploy.DefaultParallelism, "worker-pool size for node testing within a wave")
 	profilePar := flag.Int("profile-parallel", 0, "concurrent agent fingerprint RPCs while profiling the fleet (0 = default)")
 	inline := flag.Bool("inline", false, "legacy distribution: ship the full upgrade payload inline in every test/integrate frame instead of content-addressed chunk manifests")
-	jsonChunks := flag.Bool("json-chunks", false, "legacy chunk encoding: push missed chunks base64-encoded inside JSON frames instead of the binary chunk framing")
 	noPeers := flag.Bool("no-peers", false, "disable peer swarming: every missed chunk is pushed by the vendor even when gated agents could serve it")
 	showPlan := flag.Bool("plan", false, "print the staged wave schedule before deploying")
 	urrFile := flag.String("urr", "", "save the report repository to this file after deployment")
@@ -167,11 +165,11 @@ func main() {
 	}
 	defer srv.Close()
 	srv.InlinePayloads = *inline
-	srv.JSONChunks = *jsonChunks
 	srv.DisablePeers = *noPeers
 	// One registry and tracer per vendor process: the transport books RPC
-	// latency into it, the orchestrator threads it (and per-rollout
-	// traces) through every rollout, and GET /metrics renders it.
+	// latency and exports its transfer counters through it, the
+	// orchestrator threads it (and per-rollout traces) through every
+	// rollout, and GET /metrics renders it.
 	telem := telemetry.NewRegistry()
 	tracer := &telemetry.Tracer{}
 	srv.Telemetry = telem
@@ -201,9 +199,6 @@ func main() {
 		m := getMonitor()
 		if m == nil {
 			return false, errors.New("fleet not profiled yet")
-		}
-		if b, err := json.Marshal(req); err == nil {
-			m.ObserveDeltaBytes(len(b), req.Full)
 		}
 		ev, err := m.ApplyDelta(req.Machine, req.AppSet,
 			transport.ItemsFromWire(req.Added).Items(),
@@ -342,7 +337,6 @@ func main() {
 	api := &orchestrator.API{
 		Orch: orch, Launch: launch, Base: ctx,
 		EnablePprof: *pprofFlag,
-		Metrics:     []orchestrator.MetricsFunc{transportMetrics(srv)},
 		FleetDrift: func() (any, error) {
 			m := getMonitor()
 			if m == nil {
@@ -450,7 +444,7 @@ func main() {
 		mode = "inline"
 	}
 	fmt.Printf("transfer mode=%s frames=%d bytes=%d chunk_bytes=%d chunk_hits=%d chunk_misses=%d\n",
-		mode, out.Transfer.Frames, out.Transfer.Bytes, out.Transfer.ChunkBytes,
+		mode, out.Transfer.FramesSent, out.Transfer.BytesSent, out.Transfer.ChunkBytes,
 		out.Transfer.ChunkHits, out.Transfer.ChunkMisses)
 	fmt.Printf("peer tier peer_bytes=%d peer_hits=%d vendor_fallbacks=%d\n",
 		out.Transfer.PeerBytes, out.Transfer.PeerHits, out.Transfer.VendorFallbacks)
@@ -474,42 +468,6 @@ func main() {
 	if out.Abandoned {
 		fmt.Printf("rollout %s abandoned: the upgrade could not be fixed\n", h.ID())
 		os.Exit(exitRollout)
-	}
-}
-
-// transportMetrics exposes the transport tier on GET /metrics: registry
-// occupancy per shard plus the cumulative transfer and peer-tier
-// counters. It lives here rather than in either package because the
-// transport must not import the orchestrator (or vice versa) — the
-// binary that owns both is the right place to bridge them.
-func transportMetrics(srv *transport.Server) orchestrator.MetricsFunc {
-	counter := func(name, help string, v int64) orchestrator.Metric {
-		return orchestrator.Metric{Name: name, Help: help, Type: "counter", Value: float64(v)}
-	}
-	return func() []orchestrator.Metric {
-		sizes := srv.ShardSizes()
-		ms := make([]orchestrator.Metric, 0, len(sizes)+9)
-		ms = append(ms, orchestrator.Metric{Name: "mirage_registry_agents_total",
-			Help: "Registered agents.", Type: "gauge", Value: float64(srv.AgentCount())})
-		for i, n := range sizes {
-			ms = append(ms, orchestrator.Metric{Name: "mirage_registry_agents",
-				Help: "Registered agents per registry shard.", Type: "gauge",
-				Labels: [][2]string{{"shard", strconv.Itoa(i)}}, Value: float64(n)})
-		}
-		t := srv.TransferSnapshot()
-		ms = append(ms,
-			counter("mirage_transfer_frames_total", "Request frames sent to agents.", t.Frames),
-			counter("mirage_transfer_bytes_total", "Total bytes on the wire.", t.Bytes),
-			counter("mirage_transfer_chunk_bytes_total", "Content-addressed chunk payload bytes.", t.ChunkBytes),
-			counter("mirage_transfer_chunk_hits_total", "Manifest chunks agents already held.", t.ChunkHits),
-			counter("mirage_transfer_chunk_misses_total", "Manifest chunks that had to be transferred.", t.ChunkMisses),
-			counter("mirage_peer_bytes_total", "Chunk bytes served agent-to-agent.", t.PeerBytes),
-			counter("mirage_peer_hits_total", "Chunks served by the peer tier.", t.PeerHits),
-			counter("mirage_peer_fallbacks_total", "Chunks the peer tier missed and the vendor pushed.", t.VendorFallbacks),
-			counter("mirage_rollback_chunks_total", "Manifest chunks resolved while restoring members to the baseline.", t.ChunksRolledBack),
-			counter("mirage_faults_injected_total", "Transport faults fired by the chaos injector.", t.FaultsInjected),
-		)
-		return ms
 	}
 }
 

@@ -115,8 +115,7 @@ func main() {
 	// one-call form of the same thing is vendor.StageDeployment(ctx, ...).
 	// Over real TCP the same rollout ships upgrade bytes as binary chunk
 	// frames, and agents started with -peer-listen fetch misses from
-	// already-gated peers before falling back to the vendor (-json-chunks
-	// keeps the legacy base64 wire format for old agents).
+	// already-gated peers before falling back to the vendor.
 	orch := orchestrator.New("")
 	h, err := vendor.StartDeployment(ctx, orch, deploy.PolicyBalanced, upgrade, clustering, fix)
 	if err != nil {

@@ -109,18 +109,23 @@ const (
 // TransferStats summarises the bytes a deployment moved over the node
 // transport. The live controller has no opinion about how nodes receive
 // their payloads — it records whatever cumulative counters the configured
-// Transfer source reports, as a before/after delta.
+// Transfer source reports, as a before/after delta. The networked
+// transport keeps exactly these counters, per agent connection and per
+// server (transport.Stats is this type).
 type TransferStats struct {
-	Frames      int64 // request frames sent
-	Bytes       int64 // total bytes on the wire
-	ChunkBytes  int64 // content-addressed chunk payload bytes
+	FramesSent  int64 // request frames sent
+	BytesSent   int64 // total bytes on the wire
+	ChunkBytes  int64 // content-addressed chunk payload bytes the vendor pushed
 	ChunkHits   int64 // manifest chunks already held by agents
 	ChunkMisses int64 // manifest chunks that had to be transferred
 
 	// Peer tier counters: chunk traffic that moved agent-to-agent instead
 	// of over the vendor uplink, plus the chunks the vendor pushed only
-	// after the peer tier missed them.
-	PeerBytes       int64 // chunk bytes served peer-to-peer
+	// after the peer tier missed them. The vendor never sees peer traffic
+	// on its own sockets; these book what agents report back after each
+	// directed peer fetch.
+	PeerBytesIn     int64 // chunk bytes the agent(s) pulled from peers
+	PeerBytes       int64 // chunk bytes the agent(s) served to peers
 	PeerHits        int64 // chunks the peer tier satisfied
 	VendorFallbacks int64 // chunks pushed by the vendor after peers missed
 
@@ -132,35 +137,26 @@ type TransferStats struct {
 }
 
 // Sub returns the counter delta t−o.
-func (t TransferStats) Sub(o TransferStats) TransferStats {
-	return TransferStats{
-		Frames:           t.Frames - o.Frames,
-		Bytes:            t.Bytes - o.Bytes,
-		ChunkBytes:       t.ChunkBytes - o.ChunkBytes,
-		ChunkHits:        t.ChunkHits - o.ChunkHits,
-		ChunkMisses:      t.ChunkMisses - o.ChunkMisses,
-		PeerBytes:        t.PeerBytes - o.PeerBytes,
-		PeerHits:         t.PeerHits - o.PeerHits,
-		VendorFallbacks:  t.VendorFallbacks - o.VendorFallbacks,
-		ChunksRolledBack: t.ChunksRolledBack - o.ChunksRolledBack,
-		FaultsInjected:   t.FaultsInjected - o.FaultsInjected,
-	}
-}
+func (t TransferStats) Sub(o TransferStats) TransferStats { return t.combine(o, -1) }
 
 // Add returns the counter sum t+o — how a rollback's own transfer delta
 // folds into the outcome the deployment already booked.
-func (t TransferStats) Add(o TransferStats) TransferStats {
+func (t TransferStats) Add(o TransferStats) TransferStats { return t.combine(o, 1) }
+
+// combine returns t + sign·o, field by field.
+func (t TransferStats) combine(o TransferStats, sign int64) TransferStats {
 	return TransferStats{
-		Frames:           t.Frames + o.Frames,
-		Bytes:            t.Bytes + o.Bytes,
-		ChunkBytes:       t.ChunkBytes + o.ChunkBytes,
-		ChunkHits:        t.ChunkHits + o.ChunkHits,
-		ChunkMisses:      t.ChunkMisses + o.ChunkMisses,
-		PeerBytes:        t.PeerBytes + o.PeerBytes,
-		PeerHits:         t.PeerHits + o.PeerHits,
-		VendorFallbacks:  t.VendorFallbacks + o.VendorFallbacks,
-		ChunksRolledBack: t.ChunksRolledBack + o.ChunksRolledBack,
-		FaultsInjected:   t.FaultsInjected + o.FaultsInjected,
+		FramesSent:       t.FramesSent + sign*o.FramesSent,
+		BytesSent:        t.BytesSent + sign*o.BytesSent,
+		ChunkBytes:       t.ChunkBytes + sign*o.ChunkBytes,
+		ChunkHits:        t.ChunkHits + sign*o.ChunkHits,
+		ChunkMisses:      t.ChunkMisses + sign*o.ChunkMisses,
+		PeerBytesIn:      t.PeerBytesIn + sign*o.PeerBytesIn,
+		PeerBytes:        t.PeerBytes + sign*o.PeerBytes,
+		PeerHits:         t.PeerHits + sign*o.PeerHits,
+		VendorFallbacks:  t.VendorFallbacks + sign*o.VendorFallbacks,
+		ChunksRolledBack: t.ChunksRolledBack + sign*o.ChunksRolledBack,
+		FaultsInjected:   t.FaultsInjected + sign*o.FaultsInjected,
 	}
 }
 

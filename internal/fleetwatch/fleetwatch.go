@@ -103,7 +103,6 @@ type Monitor struct {
 	subs    []func(Event)
 
 	reclusterSec *telemetry.Family
-	deltaBytes   *telemetry.Family
 	driftTotal   *telemetry.CounterFamily
 }
 
@@ -118,8 +117,6 @@ func NewMonitor(snap *cluster.Snapshot, reg *telemetry.Registry) *Monitor {
 	}
 	m.reclusterSec = reg.Histogram("mirage_recluster_seconds",
 		"Latency of folding one profile delta into the clustering.", "op", 1e-9)
-	m.deltaBytes = reg.Histogram("mirage_delta_bytes",
-		"Bytes on the wire per profile delta push.", "kind", 1)
 	m.driftTotal = reg.Counter("mirage_drift_members_total",
 		"Fleet members classified after a profile change.", "class")
 	return m
@@ -157,15 +154,6 @@ func (m *Monitor) MarkGated(names []string) {
 			m.gated[c] = true
 		}
 	}
-}
-
-// ObserveDeltaBytes meters the wire size of one delta push.
-func (m *Monitor) ObserveDeltaBytes(n int, full bool) {
-	kind := "delta"
-	if full {
-		kind = "full"
-	}
-	m.deltaBytes.Observe(kind, int64(n))
 }
 
 // ApplyDelta folds one agent push. added and removed are the items that

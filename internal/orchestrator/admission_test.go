@@ -229,4 +229,9 @@ func TestHTTPAdmission429(t *testing.T) {
 	if resp := post(); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST /rollouts after drain = %d, want 201", resp.StatusCode)
 	}
+	// Let the last rollout finish before TempDir cleanup removes the
+	// directory its journal is writing into.
+	for _, h := range orch.List() {
+		h.Wait(context.Background())
+	}
 }

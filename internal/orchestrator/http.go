@@ -116,10 +116,6 @@ type API struct {
 	// RetryAfter is the Retry-After hint (in seconds) sent with a 429
 	// when the rollout admission queue is full (default 1).
 	RetryAfter int
-	// Metrics contributes additional metric families to GET /metrics
-	// beyond the orchestrator's own (see Metric); mirage-vendor wires the
-	// transport registry, transfer counters and worker budget here.
-	Metrics []MetricsFunc
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ — off by
 	// default because the admin mux may be reachable beyond localhost.
 	EnablePprof bool
@@ -157,7 +153,7 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("GET /fleet/drift", a.fleetDrift)
 	mux.HandleFunc("POST /fleet/refresh", a.fleetRefresh)
 	mux.HandleFunc("GET /healthz", a.healthz)
-	mux.HandleFunc("GET /metrics", a.metrics)
+	mux.HandleFunc("GET /metrics", a.metricsHandler())
 	if a.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

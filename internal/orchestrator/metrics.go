@@ -1,149 +1,61 @@
 package orchestrator
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 
+	"repro/internal/deploy"
 	"repro/internal/telemetry"
 )
 
-// Metric is one sample in Prometheus text exposition format. The control
-// plane hand-writes the format (it is three lines per family) rather than
-// pulling in a client library; everything the vendor exports here is a
-// gauge or a monotonic counter — latency distributions live in
-// telemetry.Registry, whose histogram families render after these.
-type Metric struct {
-	// Name is the metric family name, e.g. "mirage_registry_agents".
-	Name string
-	// Help is the one-line # HELP text (first sample of a family wins).
-	Help string
-	// Type is "gauge" or "counter" (default gauge).
-	Type string
-	// Labels are rendered in the given order, e.g. {{"shard","3"}}.
-	Labels [][2]string
-	// Value is the sample value.
-	Value float64
-}
-
-// MetricsFunc contributes metrics to one GET /metrics scrape. Each call
-// must return a fresh snapshot; funcs run on the request goroutine.
-type MetricsFunc func() []Metric
-
-// ownMetrics is the orchestrator's built-in contribution: rollout
-// lifecycle gauges and, when a worker budget is installed, its occupancy.
-func (a *API) ownMetrics() []Metric {
-	ms := []Metric{
-		{Name: "mirage_rollouts_active", Help: "Rollouts currently holding an execution slot.", Value: float64(a.Orch.Active())},
-		{Name: "mirage_rollouts_queued", Help: "Rollouts waiting in the admission queue.", Value: float64(a.Orch.Queued())},
-	}
-	states := make(map[State]int)
-	for _, st := range a.Orch.Statuses() {
-		states[st.State]++
-	}
-	names := make([]string, 0, len(states))
-	for s := range states {
-		names = append(names, string(s))
-	}
-	sort.Strings(names)
-	for _, s := range names {
-		ms = append(ms, Metric{
-			Name: "mirage_rollouts", Help: "Rollouts by lifecycle state.",
-			Labels: [][2]string{{"state", s}}, Value: float64(states[State(s)]),
+// registerMetrics registers the orchestrator's scrape-time families on
+// reg: rollout lifecycle gauges and, while a worker budget is installed,
+// its occupancy.
+func (o *Orchestrator) registerMetrics(reg *telemetry.Registry) {
+	reg.Func("mirage_rollouts_active", "Rollouts currently holding an execution slot.", "gauge", "",
+		func(emit func(string, float64)) { emit("", float64(o.Active())) })
+	reg.Func("mirage_rollouts_queued", "Rollouts waiting in the admission queue.", "gauge", "",
+		func(emit func(string, float64)) { emit("", float64(o.Queued())) })
+	reg.Func("mirage_rollouts", "Rollouts by lifecycle state.", "gauge", "state",
+		func(emit func(string, float64)) {
+			states := make(map[State]int)
+			for _, st := range o.Statuses() {
+				states[st.State]++
+			}
+			for s, n := range states {
+				emit(string(s), float64(n))
+			}
+		})
+	budget := func(name, help string, read func(*deploy.Budget) int64) {
+		reg.Func(name, help, "gauge", "", func(emit func(string, float64)) {
+			if b := o.Budget; b != nil {
+				emit("", float64(read(b)))
+			}
 		})
 	}
-	if b := a.Orch.Budget; b != nil {
-		ms = append(ms,
-			Metric{Name: "mirage_worker_budget_cap", Help: "Global worker budget size (concurrent member RPCs).", Value: float64(b.Cap())},
-			Metric{Name: "mirage_worker_budget_in_flight", Help: "Member RPCs currently holding a budget slot.", Value: float64(b.InFlight())},
-			Metric{Name: "mirage_worker_budget_high_water", Help: "Maximum concurrently held budget slots observed.", Value: float64(b.HighWater())},
-		)
-	}
-	return ms
+	budget("mirage_worker_budget_cap", "Global worker budget size (concurrent member RPCs).",
+		func(b *deploy.Budget) int64 { return int64(b.Cap()) })
+	budget("mirage_worker_budget_in_flight", "Member RPCs currently holding a budget slot.", (*deploy.Budget).InFlight)
+	budget("mirage_worker_budget_high_water", "Maximum concurrently held budget slots observed.", (*deploy.Budget).HighWater)
 }
 
-// sampleLabels renders a sample's label block ({} elided when empty)
-// with Prometheus escaping.
-func sampleLabels(labels [][2]string) string {
-	if len(labels) == 0 {
-		return ""
+// metricsHandler serves GET /metrics from one registry: the vendor's
+// Orch.Telemetry, which the transport and every rollout also book into,
+// or — when none is wired — a private registry holding only the
+// orchestrator's own gauges.
+func (a *API) metricsHandler() http.HandlerFunc {
+	reg := a.Orch.Telemetry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, kv := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(kv[0])
-		b.WriteString(`="`)
-		b.WriteString(telemetry.EscapeLabel(kv[1]))
-		b.WriteString(`"`)
+	a.Orch.registerMetrics(reg)
+	return func(w http.ResponseWriter, _ *http.Request) {
+		var b strings.Builder
+		reg.WritePrometheus(&b)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte(b.String())) //nolint:errcheck — client gone is client's problem
 	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// renderMetrics writes samples in Prometheus text format. Samples are
-// grouped by family with HELP and TYPE rendered once each (the first
-// sample carrying them wins, however the families were interleaved on
-// input), and sorted by family name then label block, so consecutive
-// scrapes of identical state are byte-identical regardless of the order
-// MetricsFuncs produced them in.
-func renderMetrics(w *strings.Builder, ms []Metric) {
-	help := make(map[string]string, len(ms))
-	typ := make(map[string]string, len(ms))
-	type sample struct {
-		name, labels string
-		value        float64
-	}
-	samples := make([]sample, 0, len(ms))
-	for _, m := range ms {
-		if _, ok := help[m.Name]; !ok && m.Help != "" {
-			help[m.Name] = m.Help
-		}
-		if _, ok := typ[m.Name]; !ok && m.Type != "" {
-			typ[m.Name] = m.Type
-		}
-		samples = append(samples, sample{m.Name, sampleLabels(m.Labels), m.Value})
-	}
-	sort.SliceStable(samples, func(i, j int) bool {
-		if samples[i].name != samples[j].name {
-			return samples[i].name < samples[j].name
-		}
-		return samples[i].labels < samples[j].labels
-	})
-	seen := make(map[string]bool, len(ms))
-	for _, s := range samples {
-		if !seen[s.name] {
-			seen[s.name] = true
-			if h := help[s.name]; h != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", s.name, h)
-			}
-			t := typ[s.name]
-			if t == "" {
-				t = "gauge"
-			}
-			fmt.Fprintf(w, "# TYPE %s %s\n", s.name, t)
-		}
-		fmt.Fprintf(w, "%s%s %s\n", s.name, s.labels, strconv.FormatFloat(s.value, 'g', -1, 64))
-	}
-}
-
-func (a *API) metrics(w http.ResponseWriter, _ *http.Request) {
-	ms := a.ownMetrics()
-	for _, f := range a.Metrics {
-		ms = append(ms, f()...)
-	}
-	var b strings.Builder
-	renderMetrics(&b, ms)
-	// Histogram families (RPC latency, member durations, budget wait,
-	// fsync latency, ...) render after the scalar samples.
-	a.Orch.Telemetry.WritePrometheus(&b)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte(b.String())) //nolint:errcheck — client gone is client's problem
 }
 
 func (a *API) healthz(w http.ResponseWriter, _ *http.Request) {

@@ -16,19 +16,17 @@ import (
 func TestHealthzAndMetrics(t *testing.T) {
 	orch := New(t.TempDir())
 	orch.Budget = deploy.NewBudget(16)
+	orch.Telemetry = telemetry.NewRegistry()
+	orch.Telemetry.Func("mirage_registry_agents", "Registered agents per shard.", "gauge", "shard",
+		func(emit func(string, float64)) {
+			emit("0", 3)
+			emit("1", 4)
+		})
 	api := &API{
 		Orch: orch,
 		Launch: func(req StartRequest) (Spec, error) {
 			return Spec{Policy: deploy.PolicyBalanced, Upgrade: upgrade("v1"), Clusters: fleet("met", 1, nil)}, nil
 		},
-		Metrics: []MetricsFunc{func() []Metric {
-			return []Metric{
-				{Name: "mirage_registry_agents", Help: "Registered agents per shard.", Type: "gauge",
-					Labels: [][2]string{{"shard", "0"}}, Value: 3},
-				{Name: "mirage_registry_agents",
-					Labels: [][2]string{{"shard", "1"}}, Value: 4},
-			}
-		}},
 	}
 	ts := httptest.NewServer(api.Handler())
 	t.Cleanup(ts.Close)
@@ -168,75 +166,14 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestRenderMetricsEscaping drives label values through the Prometheus
-// escaping rules: backslash, double quote and newline must render as
-// \\, \" and \n inside the label block.
-func TestRenderMetricsEscaping(t *testing.T) {
-	var b strings.Builder
-	renderMetrics(&b, []Metric{
-		{Name: "m_esc", Help: "Escaping.", Labels: [][2]string{{"v", `back\slash`}}, Value: 1},
-		{Name: "m_esc", Labels: [][2]string{{"v", `quo"te`}}, Value: 2},
-		{Name: "m_esc", Labels: [][2]string{{"v", "new\nline"}}, Value: 3},
-	})
-	text := b.String()
-	for _, want := range []string{
-		`m_esc{v="back\\slash"} 1`,
-		`m_esc{v="quo\"te"} 2`,
-		`m_esc{v="new\nline"} 3`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("missing %q in:\n%s", want, text)
-		}
-	}
-	if strings.Contains(text, "\nline\"} 3") {
-		t.Fatalf("raw newline leaked into a label value:\n%s", text)
-	}
-}
-
-// TestRenderMetricsGrouping interleaves two families and checks each
-// family's samples render contiguously under a single HELP/TYPE header,
-// with the first sample's Help/Type winning and empty Type defaulting
-// to gauge.
-func TestRenderMetricsGrouping(t *testing.T) {
-	var b strings.Builder
-	renderMetrics(&b, []Metric{
-		{Name: "m_bbb", Help: "B family.", Type: "counter", Labels: [][2]string{{"k", "1"}}, Value: 1},
-		{Name: "m_aaa", Help: "A family.", Value: 10},
-		{Name: "m_bbb", Help: "ignored duplicate help", Labels: [][2]string{{"k", "0"}}, Value: 2},
-	})
-	want := "# HELP m_aaa A family.\n" +
-		"# TYPE m_aaa gauge\n" +
-		"m_aaa 10\n" +
-		"# HELP m_bbb B family.\n" +
-		"# TYPE m_bbb counter\n" +
-		`m_bbb{k="0"} 2` + "\n" +
-		`m_bbb{k="1"} 1` + "\n"
-	if b.String() != want {
-		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
-	}
-}
-
-// TestRenderMetricsDeterministic renders the same samples in shuffled
-// input orders and requires byte-identical output — the property that
-// makes consecutive scrapes of identical state diffable.
-func TestRenderMetricsDeterministic(t *testing.T) {
-	ms := []Metric{
-		{Name: "m_z", Help: "Z.", Value: 1},
-		{Name: "m_a", Help: "A.", Labels: [][2]string{{"s", "x"}}, Value: 2},
-		{Name: "m_a", Labels: [][2]string{{"s", "b"}}, Value: 3},
-		{Name: "m_k", Help: "K.", Type: "counter", Value: 4},
-	}
-	var first string
-	for i := 0; i < len(ms); i++ {
-		shuffled := append(append([]Metric{}, ms[i:]...), ms[:i]...)
-		var b strings.Builder
-		renderMetrics(&b, shuffled)
-		if i == 0 {
-			first = b.String()
-			continue
-		}
-		if b.String() != first {
-			t.Fatalf("rotation %d rendered differently:\n%s\nvs:\n%s", i, b.String(), first)
+// TestMetricsWithoutTelemetry checks /metrics still serves the
+// orchestrator's own gauges when no registry is wired.
+func TestMetricsWithoutTelemetry(t *testing.T) {
+	rec := httptest.NewRecorder()
+	(&API{Orch: New(t.TempDir())}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{"# TYPE mirage_rollouts_active gauge", "mirage_rollouts_active 0", "mirage_rollouts_queued 0"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("metrics output missing %q:\n%s", want, rec.Body.String())
 		}
 	}
 }

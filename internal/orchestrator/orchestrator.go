@@ -205,12 +205,13 @@ type Orchestrator struct {
 	// MaxActive is 0.
 	MaxQueued int
 
-	// Telemetry, when set, is the vendor-wide registry of latency
-	// histograms. The orchestrator records admission-queue wait and stage
-	// barrier hold time into it and installs it on every controller and
-	// journal it starts (the same registry mirage-vendor hands the
-	// transport server), so GET /metrics exposes one coherent set of
-	// histogram families. Nil disables histogram instrumentation.
+	// Telemetry, when set, is the vendor-wide metrics registry. The
+	// orchestrator records admission-queue wait and stage barrier hold
+	// time into it and installs it on every controller and journal it
+	// starts (the same registry mirage-vendor hands the transport
+	// server), so GET /metrics renders one coherent set of families. Nil
+	// disables histogram instrumentation; /metrics then serves only the
+	// orchestrator's own gauges.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, records each rollout as a span tree served by
 	// GET /rollouts/{id}/trace. Nil disables span tracing.

@@ -82,16 +82,28 @@ func (f *CounterFamily) With(value string) *Counter {
 	return c
 }
 
-// Registry holds every histogram and counter family a process exposes.
-// One registry is created by mirage-vendor (or a test) and threaded to
-// the transport server, the orchestrator, each deployment controller and
-// each rollout journal; /metrics renders it alongside the gauge/counter
-// samples of orchestrator.renderMetrics. A nil *Registry disables all
+// funcFamily is a gauge or counter family whose samples a function
+// reads at scrape time: the values live elsewhere (atomic transfer
+// counters, queue lengths), so exporting them costs the hot path nothing.
+type funcFamily struct {
+	name     string
+	help     string
+	typ      string
+	labelKey string
+	read     func(emit func(label string, value float64))
+}
+
+// Registry holds every family a process exposes: histograms, counters,
+// and the scrape-time gauge/counter families of Func. One registry is
+// created by mirage-vendor (or a test) and threaded to the transport
+// server, the orchestrator, each deployment controller and each rollout
+// journal; GET /metrics renders it. A nil *Registry disables all
 // instrumentation that hangs off it.
 type Registry struct {
 	mu       sync.Mutex
 	hists    map[string]*Family
 	counters map[string]*CounterFamily
+	funcs    map[string]*funcFamily
 }
 
 // NewRegistry returns an empty registry.
@@ -99,6 +111,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		hists:    map[string]*Family{},
 		counters: map[string]*CounterFamily{},
+		funcs:    map[string]*funcFamily{},
 	}
 }
 
@@ -145,4 +158,23 @@ func (r *Registry) Counter(name, help, labelKey string) *CounterFamily {
 	}
 	r.counters[name] = f
 	return f
+}
+
+// Func registers a family whose samples read emits at scrape time, one
+// per label value (the label is ignored when labelKey is empty). typ is
+// "gauge" or "counter"; empty means gauge. A scrape in which read emits
+// nothing renders no lines for the family. As with Histogram and
+// Counter, the first registration of a name wins.
+func (r *Registry) Func(name, help, typ, labelKey string, read func(emit func(label string, value float64))) {
+	if r == nil {
+		return
+	}
+	if typ == "" {
+		typ = "gauge"
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.funcs[name] == nil {
+		r.funcs[name] = &funcFamily{name: name, help: help, typ: typ, labelKey: labelKey, read: read}
+	}
 }

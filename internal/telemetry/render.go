@@ -42,31 +42,33 @@ func formatBound(bound int64, scale float64) string {
 
 // WritePrometheus renders every family in the registry in the Prometheus
 // text exposition format: histogram families as cumulative `_bucket`
-// samples with `le` bounds plus `_sum` and `_count`, counter families as
-// plain samples. Families render sorted by name and label values sorted
-// within a family, so consecutive scrapes of the same state are
-// byte-identical.
+// samples with `le` bounds plus `_sum` and `_count`, counter and Func
+// families as plain samples. Families render sorted by name and label
+// values sorted within a family, so consecutive scrapes of the same
+// state are byte-identical however the families were registered.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	hists := make([]*Family, 0, len(r.hists))
-	for _, f := range r.hists {
-		hists = append(hists, f)
+	type family struct {
+		name  string
+		write func(io.Writer)
 	}
-	counters := make([]*CounterFamily, 0, len(r.counters))
+	r.mu.Lock()
+	fams := make([]family, 0, len(r.hists)+len(r.counters)+len(r.funcs))
+	for _, f := range r.hists {
+		fams = append(fams, family{f.name, f.write})
+	}
 	for _, f := range r.counters {
-		counters = append(counters, f)
+		fams = append(fams, family{f.name, f.write})
+	}
+	for _, f := range r.funcs {
+		fams = append(fams, family{f.name, f.write})
 	}
 	r.mu.Unlock()
 
-	sort.Slice(hists, func(i, j int) bool { return hists[i].name < hists[j].name })
-	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	for _, f := range hists {
-		f.write(w)
-	}
-	for _, f := range counters {
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	for _, f := range fams {
 		f.write(w)
 	}
 }
@@ -155,5 +157,30 @@ func (f *CounterFamily) write(w io.Writer) {
 	sort.Strings(values)
 	for _, v := range values {
 		fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", f.name, f.labelKey, EscapeLabel(v), f.With(v).Value())
+	}
+}
+
+func (f *funcFamily) write(w io.Writer) {
+	type sample struct {
+		label string
+		value float64
+	}
+	var samples []sample
+	f.read(func(label string, value float64) { samples = append(samples, sample{label, value}) })
+	if len(samples) == 0 {
+		return
+	}
+	sort.SliceStable(samples, func(i, j int) bool { return samples[i].label < samples[j].label })
+	if f.help != "" {
+		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
+	}
+	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
+	for _, s := range samples {
+		v := strconv.FormatFloat(s.value, 'g', -1, 64)
+		if f.labelKey == "" {
+			fmt.Fprintf(w, "%s %s\n", f.name, v)
+		} else {
+			fmt.Fprintf(w, "%s{%s=\"%s\"} %s\n", f.name, f.labelKey, EscapeLabel(s.label), v)
+		}
 	}
 }

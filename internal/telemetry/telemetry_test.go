@@ -127,6 +127,89 @@ func TestRenderLabelEscaping(t *testing.T) {
 	}
 }
 
+// emitAll returns a Func reader emitting one sample per map entry, in
+// Go's randomized map order.
+func emitAll(samples map[string]float64) func(emit func(string, float64)) {
+	return func(emit func(string, float64)) {
+		for label, v := range samples {
+			emit(label, v)
+		}
+	}
+}
+
+// TestFuncFamilyEscaping drives scrape-time label values through the
+// Prometheus escaping rules: backslash, double quote and newline must
+// render as \\, \" and \n inside the label block.
+func TestFuncFamilyEscaping(t *testing.T) {
+	r := NewRegistry()
+	r.Func("m_esc", "Escaping.", "", "v", emitAll(map[string]float64{`back\slash`: 1, `quo"te`: 2, "new\nline": 3}))
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	text := b.String()
+	for _, want := range []string{
+		`m_esc{v="back\\slash"} 1`,
+		`m_esc{v="quo\"te"} 2`,
+		`m_esc{v="new\nline"} 3`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("missing %q in:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "\nline\"} 3") {
+		t.Fatalf("raw newline leaked into a label value:\n%s", text)
+	}
+}
+
+// TestFuncFamilyGrouping registers two families, one of them twice, and
+// checks each family's samples render contiguously under a single
+// HELP/TYPE header, with the first registration's help and type winning
+// and an empty type defaulting to gauge.
+func TestFuncFamilyGrouping(t *testing.T) {
+	r := NewRegistry()
+	r.Func("m_bbb", "B family.", "counter", "k", emitAll(map[string]float64{"1": 1, "0": 2}))
+	r.Func("m_aaa", "A family.", "", "", emitAll(map[string]float64{"": 10}))
+	r.Func("m_bbb", "ignored duplicate help", "", "k", emitAll(map[string]float64{"9": 9}))
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	want := "# HELP m_aaa A family.\n" +
+		"# TYPE m_aaa gauge\n" +
+		"m_aaa 10\n" +
+		"# HELP m_bbb B family.\n" +
+		"# TYPE m_bbb counter\n" +
+		`m_bbb{k="0"} 2` + "\n" +
+		`m_bbb{k="1"} 1` + "\n"
+	if b.String() != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+// TestFuncFamilyDeterministic registers the same families in rotated
+// orders and requires byte-identical output — the property that makes
+// consecutive scrapes of identical state diffable.
+func TestFuncFamilyDeterministic(t *testing.T) {
+	regs := []func(*Registry){
+		func(r *Registry) { r.Func("m_z", "Z.", "", "", emitAll(map[string]float64{"": 1})) },
+		func(r *Registry) { r.Func("m_a", "A.", "", "s", emitAll(map[string]float64{"x": 2, "b": 3})) },
+		func(r *Registry) { r.Func("m_k", "K.", "counter", "", emitAll(map[string]float64{"": 4})) },
+	}
+	var first string
+	for i := range regs {
+		r := NewRegistry()
+		for _, register := range append(append([]func(*Registry){}, regs[i:]...), regs[:i]...) {
+			register(r)
+		}
+		var b strings.Builder
+		r.WritePrometheus(&b)
+		if i == 0 {
+			first = b.String()
+			continue
+		}
+		if b.String() != first {
+			t.Fatalf("rotation %d rendered differently:\n%s\nvs:\n%s", i, b.String(), first)
+		}
+	}
+}
+
 func TestTraceRing(t *testing.T) {
 	tr := &Tracer{MaxSpans: 4, MaxTraces: 2}
 	trace := tr.Start("r1")

@@ -298,10 +298,9 @@ func (a *Agent) handle(req Frame) Frame {
 		}
 		return a.handleIntegrate(req.Integrate)
 	case OpFetchChunks:
-		if req.FetchChunks == nil {
-			return errFrame("fetch_chunks payload missing")
-		}
-		return a.handleFetchChunks(*req.FetchChunks)
+		// Chunk pushes with a body never reach here (serve streams them
+		// through handleFetchBinary); a push announcing none is malformed.
+		return errFrame("fetch_chunks payload missing")
 	case OpPeerFetch:
 		if req.PeerFetch == nil {
 			return errFrame("peer_fetch payload missing")
@@ -396,15 +395,6 @@ func (a *Agent) manifest(req *UpgradeReq) (*WireManifest, error) {
 	}
 	a.manifests[man.Sig] = man
 	return man, nil
-}
-
-func (a *Agent) handleFetchChunks(req FetchChunksReq) Frame {
-	for _, ch := range req.Chunks {
-		if err := a.Cache.Add(ch.Hash, ch.Data); err != nil {
-			return errFrame(err.Error())
-		}
-	}
-	return Frame{OK: true}
 }
 
 // handleFetchBinary consumes a binary chunk push: the raw body announced

@@ -116,11 +116,11 @@ func TestAgentReconnectPreservesIdentityAndCache(t *testing.T) {
 	}
 	// Same identity, same cache: the re-test resolves from cache, moving
 	// zero chunk bytes.
-	pre := s.Stats().ChunkBytesSent
+	pre := s.Stats().ChunkBytes
 	if _, err := s.Node("phoenix").TestUpgrade(context.Background(), mysql5Wire()); err != nil {
 		t.Fatal(err)
 	}
-	if moved := s.Stats().ChunkBytesSent - pre; moved != 0 {
+	if moved := s.Stats().ChunkBytes - pre; moved != 0 {
 		t.Fatalf("reconnected agent re-fetched %d chunk bytes; cache lost", moved)
 	}
 	if after := agent.Cache.Stats(); after.Chunks < before.Chunks {

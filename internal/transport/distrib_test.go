@@ -85,7 +85,7 @@ func TestChunkedDeploymentUpgradesFleet(t *testing.T) {
 	if out.Transfer.ChunkBytes == 0 || out.Transfer.ChunkMisses == 0 {
 		t.Fatalf("transfer stats = %+v, want chunk traffic recorded", out.Transfer)
 	}
-	if out.Transfer.Frames == 0 || out.Transfer.Bytes == 0 {
+	if out.Transfer.FramesSent == 0 || out.Transfer.BytesSent == 0 {
 		t.Fatalf("transfer stats = %+v, want frame/byte accounting", out.Transfer)
 	}
 }
@@ -116,12 +116,12 @@ func TestIntegrateAfterTestTransfersNoChunkBytes(t *testing.T) {
 	}
 	final, _ := s.AgentStats("cache-node")
 	delta := final
-	delta.ChunkBytesSent -= after.ChunkBytesSent
+	delta.ChunkBytes -= after.ChunkBytes
 	delta.ChunkMisses -= after.ChunkMisses
 	delta.ChunkHits -= after.ChunkHits
-	if delta.ChunkBytesSent != 0 || delta.ChunkMisses != 0 {
+	if delta.ChunkBytes != 0 || delta.ChunkMisses != 0 {
 		t.Fatalf("integrate-after-test moved %d chunk bytes (%d misses), want zero",
-			delta.ChunkBytesSent, delta.ChunkMisses)
+			delta.ChunkBytes, delta.ChunkMisses)
 	}
 	if delta.ChunkHits == 0 {
 		t.Fatal("integrate resolved no chunks from cache")
@@ -166,12 +166,12 @@ func TestVersionUpgradeTransfersOnlyChangedChunks(t *testing.T) {
 	}
 
 	st, _ := s.AgentStats("delta-node")
-	if st.ChunkBytesSent == 0 {
+	if st.ChunkBytes == 0 {
 		t.Fatal("delta transferred nothing — test is vacuous")
 	}
-	if st.ChunkBytesSent > size/4 {
+	if st.ChunkBytes > size/4 {
 		t.Fatalf("version delta moved %d of %d payload bytes — CDC dedup not working",
-			st.ChunkBytesSent, size)
+			st.ChunkBytes, size)
 	}
 	if f := m.ReadFile(apps.MySQLExec); f == nil || !bytes.Equal(f.Data, v2) {
 		t.Fatal("reassembled file differs from the vendor's")
@@ -258,7 +258,7 @@ func TestInlineFallback(t *testing.T) {
 		t.Fatalf("machine at %s", ref.Version)
 	}
 	st, _ := s.AgentStats("inline-node")
-	if st.ChunkBytesSent != 0 || st.ChunkHits != 0 || st.ChunkMisses != 0 {
+	if st.ChunkBytes != 0 || st.ChunkHits != 0 || st.ChunkMisses != 0 {
 		t.Fatalf("inline mode used the chunk path: %+v", st)
 	}
 	if st.BytesSent == 0 || st.FramesSent == 0 {

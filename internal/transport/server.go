@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,30 +48,10 @@ var ErrAgentReplaced = fmt.Errorf("agent connection replaced: %w", deploy.ErrTra
 var ErrServerClosed = errors.New("transport: server closed")
 
 // Stats is a snapshot of the vendor-side transfer counters, kept per
-// connection and aggregated per server. It is what makes the distribution
-// layer's savings measurable instead of anecdotal.
-type Stats struct {
-	FramesSent     int64 // request frames written
-	BytesSent      int64 // total bytes written to agent sockets
-	ChunkBytesSent int64 // bytes of chunk payload the vendor itself pushed
-	ChunkHits      int64 // manifest chunks the agent already held
-	ChunkMisses    int64 // manifest chunks that had to be transferred
-
-	// Peer tier counters. The vendor never sees peer traffic on its own
-	// sockets; these book what agents report back after each directed
-	// peer fetch, which is what lets BenchmarkSwarm assert vendor egress
-	// stays ~flat while total bytes moved grows with the fleet.
-	PeerBytesIn     int64 // chunk bytes this/these agent(s) pulled from peers
-	PeerBytesOut    int64 // chunk bytes this/these agent(s) served to peers
-	PeerChunkHits   int64 // chunks the peer tier satisfied
-	VendorFallbacks int64 // chunks pushed by the vendor after peers missed them
-
-	// Robustness counters: manifest chunks resolved while restoring
-	// members to the baseline version (rollback mode, see SetRollbackMode)
-	// and faults the vendor-side injector fired on this/these channel(s).
-	ChunksRolledBack int64
-	FaultsInjected   int64
-}
+// connection and aggregated per server: the deployment layer's
+// TransferStats, so a rollout's transfer delta is a plain Sub of two
+// server snapshots.
+type Stats = deploy.TransferStats
 
 // statsCounters is the mutable (atomic) form behind Stats snapshots.
 type statsCounters struct {
@@ -83,12 +64,12 @@ func (c *statsCounters) snapshot() Stats {
 	return Stats{
 		FramesSent:       c.frames.Load(),
 		BytesSent:        c.bytes.Load(),
-		ChunkBytesSent:   c.chunkBytes.Load(),
+		ChunkBytes:       c.chunkBytes.Load(),
 		ChunkHits:        c.hits.Load(),
 		ChunkMisses:      c.misses.Load(),
 		PeerBytesIn:      c.peerIn.Load(),
-		PeerBytesOut:     c.peerOut.Load(),
-		PeerChunkHits:    c.peerHits.Load(),
+		PeerBytes:        c.peerOut.Load(),
+		PeerHits:         c.peerHits.Load(),
 		VendorFallbacks:  c.fallbacks.Load(),
 		ChunksRolledBack: c.rolledBack.Load(),
 		FaultsInjected:   c.faults.Load(),
@@ -207,15 +188,57 @@ func (ac *agentConn) callBody(ctx context.Context, req Frame, body []distrib.Chu
 }
 
 // rpcHists returns the cached RPC latency and frame-byte families
-// (nil families when no registry is wired — every method no-ops).
+// (nil families when no registry is wired — every method no-ops). The
+// first call registers all of the transport's families on s.Telemetry.
 func (s *Server) rpcHists() (*telemetry.Family, *telemetry.Family) {
-	s.telemOnce.Do(func() {
-		s.rpcLatency = s.Telemetry.Histogram("mirage_rpc_latency_seconds",
-			"Vendor-to-agent RPC latency by op, faults and deadline waits included.", "op", 1e-9)
-		s.rpcBytes = s.Telemetry.Histogram("mirage_rpc_frame_bytes",
-			"Bytes written to the agent socket per RPC by op (frame header plus chunk body).", "op", 1)
-	})
+	s.telemOnce.Do(s.registerMetrics)
 	return s.rpcLatency, s.rpcBytes
+}
+
+// registerMetrics registers the transport's families on s.Telemetry: the
+// RPC and delta-push histograms, registry occupancy, and the server-wide
+// transfer counters. The scalar families read the registry and the
+// statsCounters atomics at scrape time, so the RPC path books nothing
+// beyond the atomic adds it already makes.
+func (s *Server) registerMetrics() {
+	reg := s.Telemetry
+	s.rpcLatency = reg.Histogram("mirage_rpc_latency_seconds",
+		"Vendor-to-agent RPC latency by op, faults and deadline waits included.", "op", 1e-9)
+	s.rpcBytes = reg.Histogram("mirage_rpc_frame_bytes",
+		"Bytes written to the agent socket per RPC by op (frame header plus chunk body).", "op", 1)
+	s.deltaBytes()
+	reg.Func("mirage_registry_agents_total", "Registered agents.", "gauge", "",
+		func(emit func(string, float64)) { emit("", float64(s.registry.Len())) })
+	reg.Func("mirage_registry_agents", "Registered agents per registry shard.", "gauge", "shard",
+		func(emit func(string, float64)) {
+			for i, n := range s.ShardSizes() {
+				emit(strconv.Itoa(i), float64(n))
+			}
+		})
+	c := &s.stats
+	for _, m := range []struct {
+		name, help string
+		v          *atomic.Int64
+	}{
+		{"mirage_transfer_frames_total", "Request frames sent to agents.", &c.frames},
+		{"mirage_transfer_bytes_total", "Total bytes on the wire.", &c.bytes},
+		{"mirage_transfer_chunk_bytes_total", "Content-addressed chunk payload bytes.", &c.chunkBytes},
+		{"mirage_transfer_chunk_hits_total", "Manifest chunks agents already held.", &c.hits},
+		{"mirage_transfer_chunk_misses_total", "Manifest chunks that had to be transferred.", &c.misses},
+		{"mirage_peer_bytes_total", "Chunk bytes served agent-to-agent.", &c.peerOut},
+		{"mirage_peer_hits_total", "Chunks served by the peer tier.", &c.peerHits},
+		{"mirage_peer_fallbacks_total", "Chunks the peer tier missed and the vendor pushed.", &c.fallbacks},
+		{"mirage_rollback_chunks_total", "Manifest chunks resolved while restoring members to the baseline.", &c.rolledBack},
+		{"mirage_faults_injected_total", "Transport faults fired by the chaos injector.", &c.faults},
+	} {
+		reg.Func(m.name, m.help, "counter", "", func(emit func(string, float64)) { emit("", float64(m.v.Load())) })
+	}
+}
+
+// deltaBytes returns the histogram of profile-delta push sizes, by kind
+// ("delta" or "full").
+func (s *Server) deltaBytes() *telemetry.Family {
+	return s.Telemetry.Histogram("mirage_delta_bytes", "Bytes on the wire per profile delta push.", "kind", 1)
 }
 
 // exchange performs the locked wire exchange behind callBody.
@@ -241,10 +264,6 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 			ac.bookFault()
 			if body != nil {
 				body = corruptChunks(body)
-			} else if req.FetchChunks != nil {
-				fr := *req.FetchChunks
-				fr.Chunks = corruptChunks(fr.Chunks)
-				req.FetchChunks = &fr
 			}
 		case FaultReset:
 			ac.bookFault()
@@ -383,13 +402,6 @@ type Server struct {
 	// chunk bytes ever cross the wire.
 	InlinePayloads bool
 
-	// JSONChunks restores the legacy chunk-push encoding: OpFetchChunks
-	// frames carry chunk bytes base64-encoded inside the JSON body. The
-	// default is the binary chunk frame — a JSON header listing per-chunk
-	// address+length followed by the raw bytes — which moves chunk
-	// payload with zero encode expansion and no per-chunk allocation.
-	JSONChunks bool
-
 	// DisablePeers turns off peer hinting: every missed chunk is pushed
 	// by the vendor, as before the peer tier existed. Agents that do not
 	// run a peer server are simply never hinted, so this switch matters
@@ -411,10 +423,12 @@ type Server struct {
 	OnProfileDelta func(req *ProfileDeltaReq) (resync bool, err error)
 
 	// Telemetry, when set, receives per-op RPC latency and frame-byte
-	// histograms plus injected-delay accounting (nil is a no-op). RPC
-	// spans additionally land in whatever rollout trace rides the call's
-	// context, independent of this registry. Set it before serving
-	// starts: the RPC path caches its family handles on first use.
+	// histograms, profile-delta sizes and injected-delay accounting, and
+	// exports registry occupancy and the transfer counters (nil is a
+	// no-op). RPC spans additionally land in whatever rollout trace rides
+	// the call's context, independent of this registry. Set it before the
+	// first RPC or delta push: that registers the families and caches the
+	// hot-path handles.
 	Telemetry *telemetry.Registry
 
 	// telemOnce caches the RPC hot-path histogram families so each call
@@ -511,32 +525,13 @@ func (s *Server) AgentStats(name string) (Stats, bool) {
 	return ac.stats.snapshot(), true
 }
 
-// AgentCount returns the number of currently registered agents without
-// materializing their names.
-func (s *Server) AgentCount() int { return s.registry.Len() }
-
 // ShardSizes returns the registry's per-shard agent counts — the /metrics
 // feed for registry balance and size.
 func (s *Server) ShardSizes() []int { return s.registry.ShardSizes() }
 
-// TransferSnapshot exposes the server-wide counters in the deployment
-// controller's vocabulary, so Controller.Transfer can record per-rollout
-// deltas in the Outcome.
-func (s *Server) TransferSnapshot() deploy.TransferStats {
-	st := s.Stats()
-	return deploy.TransferStats{
-		Frames:           st.FramesSent,
-		Bytes:            st.BytesSent,
-		ChunkBytes:       st.ChunkBytesSent,
-		ChunkHits:        st.ChunkHits,
-		ChunkMisses:      st.ChunkMisses,
-		PeerBytes:        st.PeerBytesOut,
-		PeerHits:         st.PeerChunkHits,
-		VendorFallbacks:  st.VendorFallbacks,
-		ChunksRolledBack: st.ChunksRolledBack,
-		FaultsInjected:   st.FaultsInjected,
-	}
-}
+// TransferSnapshot is Stats under the name deploy.Controller.Transfer
+// expects, so the controller can record per-rollout deltas in the Outcome.
+func (s *Server) TransferSnapshot() deploy.TransferStats { return s.Stats() }
 
 // SetRollbackMode flips rollback accounting: while on, every manifest
 // chunk resolved by a push is additionally booked as ChunksRolledBack —
@@ -764,8 +759,15 @@ func (s *Server) register(conn net.Conn) {
 		return
 	}
 	if hello.Op == OpProfileDelta && hello.Delta != nil {
-		// A watch-mode agent's short-lived delta push: handle, answer one
-		// frame, and close — it never becomes a control channel.
+		// A watch-mode agent's short-lived delta push: meter the frame
+		// line just read, handle, answer one frame, and close — it never
+		// becomes a control channel.
+		s.rpcHists() // registers the transport's families on first use
+		kind := "delta"
+		if hello.Delta.Full {
+			kind = "full"
+		}
+		s.deltaBytes().Observe(kind, int64(len(fc.line)))
 		resp := Frame{ID: hello.ID}
 		if h := s.OnProfileDelta; h == nil {
 			resp.Err = "vendor accepts no profile deltas"
@@ -1056,9 +1058,8 @@ func upgradeFrame(op string, ur UpgradeReq) Frame {
 // (an agent that lost it answers NeedManifest and gets it in full
 // again). If the agent reports missing chunks,
 // the peer tier is tried first (a directed OpPeerFetch against hinted
-// gated peers), the remainder is pushed with OpFetchChunks — a binary
-// chunk frame by default, base64-in-JSON under s.JSONChunks — and the
-// request is re-issued; the manifest is small, so the retry costs a few
+// gated peers), the remainder is pushed as an OpFetchChunks binary chunk
+// frame, and the request is re-issued; the manifest is small, so the retry costs a few
 // hundred bytes, never a payload re-send. A manifest that resolves
 // completely marks its addresses held by the agent in the chunk-location
 // index, feeding future peer hints.
@@ -1168,13 +1169,7 @@ func (s *Server) pushUpgrade(ctx context.Context, name, op string, up *pkgmgr.Up
 			ac.stats.fallbacks.Add(int64(len(chunks)))
 			ac.total.fallbacks.Add(int64(len(chunks)))
 		}
-		var perr error
-		if s.JSONChunks {
-			_, perr = ac.call(ctx, Frame{Op: OpFetchChunks, FetchChunks: &FetchChunksReq{Chunks: chunks}}, s.Timeout)
-		} else {
-			_, perr = ac.callBody(ctx, Frame{Op: OpFetchChunks, ChunkMeta: chunkMeta(chunks)}, chunks, s.Timeout)
-		}
-		if perr != nil {
+		if _, perr := ac.callBody(ctx, Frame{Op: OpFetchChunks, ChunkMeta: chunkMeta(chunks)}, chunks, s.Timeout); perr != nil {
 			// An agent-reported rejection means corrupt bytes in flight
 			// (the content address caught them) on an intact channel: spend
 			// an attempt re-issuing the manifest, which re-pushes cleanly.

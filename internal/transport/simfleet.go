@@ -15,7 +15,7 @@ import (
 // SimFleet is the scale harness: thousands of protocol-faithful simulated
 // agents in one process. Each sim agent speaks the real wire protocol on
 // a real connection — registration handshake, manifest negotiation,
-// NeedManifest, NeedChunks, binary and JSON chunk bodies — but replaces
+// NeedManifest, NeedChunks, binary chunk bodies — but replaces
 // the expensive agent internals with the cheapest possible stand-ins:
 // validation is a canned successful report instead of a vmtest run,
 // integration is a counter bump instead of a package-manager transaction,
@@ -370,14 +370,7 @@ func (f *SimFleet) handle(name string, fc *frameConn, req *Frame, held *uint64) 
 			}
 			return Frame{OK: true}, nil
 		}
-		if req.FetchChunks != nil {
-			for _, ch := range req.FetchChunks.Chunks {
-				if err := f.cache.Add(ch.Hash, ch.Data); err != nil {
-					return Frame{Err: err.Error()}, nil
-				}
-			}
-		}
-		return Frame{OK: true}, nil
+		return Frame{Err: "fetch_chunks payload missing"}, nil
 	case OpPeerFetch:
 		// Sim agents run no peer servers; decline everything and let the
 		// vendor fall back to its own push.

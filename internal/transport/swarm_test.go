@@ -192,7 +192,7 @@ func TestCorruptPeerFallsBackToVendor(t *testing.T) {
 	if st.VendorFallbacks == 0 {
 		t.Fatalf("stats = %+v, want vendor fallbacks after corrupt peer", st)
 	}
-	if st.PeerBytesIn != 0 || st.PeerChunkHits != 0 {
+	if st.PeerBytesIn != 0 || st.PeerHits != 0 {
 		t.Fatalf("stats = %+v: corrupt chunks were credited as peer traffic", st)
 	}
 }
@@ -235,7 +235,7 @@ func TestPeerDiesMidFetch(t *testing.T) {
 	}
 	// The one complete chunk that verified before the death is kept — the
 	// whole point of per-chunk digests — and counted.
-	if st.PeerChunkHits != 1 {
+	if st.PeerHits != 1 {
 		t.Fatalf("stats = %+v, want exactly the one pre-death chunk credited", st)
 	}
 }

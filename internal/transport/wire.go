@@ -41,15 +41,13 @@ type Frame struct {
 	Fingerprint json.RawMessage  `json:"fingerprint,omitempty"`
 	Test        *UpgradeReq      `json:"test,omitempty"`
 	Integrate   *UpgradeReq      `json:"integrate,omitempty"`
-	FetchChunks *FetchChunksReq  `json:"fetch_chunks,omitempty"`
 	PeerFetch   *PeerFetchReq    `json:"peer_fetch,omitempty"`
 	Delta       *ProfileDeltaReq `json:"delta,omitempty"`
 
 	// ChunkMeta announces a binary chunk body: immediately after this
 	// frame's newline follow the raw bytes of each listed chunk, in
 	// order, ref.Size bytes each — no base64, no per-chunk framing. Used
-	// by OpFetchChunks pushes (unless Server.JSONChunks restores the
-	// legacy inline format) and by every OpPeerGet response.
+	// by every OpFetchChunks push and every OpPeerGet response.
 	ChunkMeta []distrib.ChunkRef `json:"chunk_meta,omitempty"`
 
 	// Response payloads.
@@ -189,14 +187,6 @@ func decodeManifest(req *UpgradeReq) (*WireManifest, error) {
 		return nil, fmt.Errorf("manifest signature %x does not match request signature %x", man.Sig, req.ManifestSig)
 	}
 	return man, nil
-}
-
-// FetchChunksReq carries the chunk bytes for a reported missing set in
-// the legacy JSON format (base64 bodies inside the frame). The default
-// transport ships the same content as a binary chunk frame (ChunkMeta +
-// raw bytes); Server.JSONChunks restores this form.
-type FetchChunksReq struct {
-	Chunks []distrib.Chunk `json:"chunks"`
 }
 
 // PeerFetchReq directs an agent to pull chunk addresses from peers, in
