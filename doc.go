@@ -16,8 +16,9 @@
 // content-addressed distribution layer (internal/distrib): chunk
 // manifests in place of inline payloads, persistent agent-side chunk
 // caches seeded from installed files, and batched fetches of only the
-// missing chunks — pushed as binary chunk frames (raw bytes behind a
-// JSON header) and, once a rollout's early waves gate, served mostly
+// missing chunks — pushed as raw bytes behind a length-prefixed binary
+// frame, the one codec every vendor/agent connection speaks — and, once
+// a rollout's early waves gate, served mostly
 // peer-to-peer: agents opt in with -peer-listen, the vendor hints gated
 // peers that hold the missing addresses, and every peer-fetched chunk
 // self-verifies against its content digest before the vendor uplink is

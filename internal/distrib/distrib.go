@@ -65,9 +65,11 @@ type Manifest struct {
 	Deps       []pkgmgr.Dependency `json:"deps,omitempty"`
 	Migrations []pkgmgr.FileEdit   `json:"migrations,omitempty"`
 
-	// raw is the JSON encoding, made once by the Store that built the
-	// manifest: a published manifest is never modified.
-	raw json.RawMessage
+	// raw is the JSON encoding and addrs the distinct chunk addresses,
+	// both made once by the Store that built the manifest: a published
+	// manifest is never modified.
+	raw   json.RawMessage
+	addrs []uint64
 }
 
 // JSON returns the manifest's JSON encoding. A manifest built by a Store
@@ -78,6 +80,31 @@ func (m *Manifest) JSON() (json.RawMessage, error) {
 		return m.raw, nil
 	}
 	return json.Marshal(m)
+}
+
+// Addrs returns the manifest's distinct chunk addresses in first-seen
+// order. A manifest built by a Store computed them once, when it was
+// built, and every call returns that slice, which callers must not
+// modify; any other manifest computes them on each call.
+func (m *Manifest) Addrs() []uint64 {
+	if m.addrs != nil {
+		return m.addrs
+	}
+	return m.distinctAddrs()
+}
+
+func (m *Manifest) distinctAddrs() []uint64 {
+	seen := make(map[uint64]bool)
+	out := make([]uint64, 0, len(m.Files))
+	for _, f := range m.Files {
+		for _, ref := range f.Chunks {
+			if !seen[ref.Hash] {
+				seen[ref.Hash] = true
+				out = append(out, ref.Hash)
+			}
+		}
+	}
+	return out
 }
 
 // ChunkCount returns the number of chunk references across all files
@@ -168,6 +195,7 @@ func (s *Store) Manifest(up *pkgmgr.Upgrade) *Manifest {
 	if raw, err := json.Marshal(m); err == nil {
 		m.raw = raw
 	}
+	m.addrs = m.distinctAddrs()
 	s.manifests[sig] = m
 	return m
 }

@@ -267,3 +267,35 @@ func TestCacheChunksServesWhatItHolds(t *testing.T) {
 		t.Fatalf("empty request served %d chunks", len(out))
 	}
 }
+
+// TestManifestAddrsComputedOnce: a store-built manifest lists each
+// distinct chunk address once, in first-seen order, and hands out the
+// same slice on every call; a hand-built manifest computes the same list.
+func TestManifestAddrsComputedOnce(t *testing.T) {
+	data := payload(3, 40_000)
+	man := NewStore().Manifest(upgrade("dup-1.0",
+		&machine.File{Path: "/bin/a", Type: machine.TypeExecutable, Data: data},
+		&machine.File{Path: "/bin/b", Type: machine.TypeExecutable, Data: data},
+	))
+	var want []uint64
+	seen := map[uint64]bool{}
+	for _, f := range man.Files {
+		for _, ref := range f.Chunks {
+			if !seen[ref.Hash] {
+				seen[ref.Hash] = true
+				want = append(want, ref.Hash)
+			}
+		}
+	}
+	got := man.Addrs()
+	if fmt.Sprint(got) != fmt.Sprint(want) || len(got) >= man.ChunkCount() {
+		t.Fatalf("Addrs = %v, want the %d distinct of %d refs %v", got, len(want), man.ChunkCount(), want)
+	}
+	if again := man.Addrs(); &again[0] != &got[0] {
+		t.Fatal("store-built manifest recomputed its addresses")
+	}
+	bare := &Manifest{Files: man.Files}
+	if fmt.Sprint(bare.Addrs()) != fmt.Sprint(want) {
+		t.Fatalf("hand-built manifest Addrs = %v, want %v", bare.Addrs(), want)
+	}
+}

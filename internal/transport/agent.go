@@ -121,11 +121,11 @@ func (a *Agent) serve(conn net.Conn) error {
 
 	// Buffer frame writes: one reply is one flushed burst, not a stream
 	// of small unbuffered writes straight to the socket. Reads go through
-	// the line-based frame codec (not a json.Decoder, whose read-ahead
-	// would swallow the raw body of a binary chunk frame).
+	// the binary frame codec, which consumes exactly one frame and leaves
+	// any raw chunk body behind it on the stream.
 	bw := bufio.NewWriter(conn)
 	fc := newFrameConn(bufio.NewReader(conn), bw)
-	if err := fc.WriteFrame(Frame{Op: OpRegister, Register: &RegisterReq{Machine: a.M.Name, Peer: a.PeerAddr}}); err != nil {
+	if err := fc.WriteFrame(&Frame{Op: OpRegister, Register: &RegisterReq{Machine: a.M.Name, Peer: a.PeerAddr}}); err != nil {
 		return nil // connection already dead; session over
 	}
 	if err := bw.Flush(); err != nil {
@@ -171,7 +171,7 @@ func (a *Agent) serve(conn net.Conn) error {
 			return nil
 		}
 		resp.ID = req.ID
-		if err := fc.WriteFrame(resp); err != nil {
+		if err := fc.WriteFrame(&resp); err != nil {
 			return nil
 		}
 		if err := bw.Flush(); err != nil {

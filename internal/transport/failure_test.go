@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
@@ -76,7 +78,44 @@ func TestBogusRegistrationDropped(t *testing.T) {
 	if got := s.Agents(); len(got) != 0 {
 		t.Fatalf("bogus registration accepted: %v", got)
 	}
+	requireClosedWithin(t, conn, time.Second)
 	conn.Close()
+}
+
+// requireClosedWithin fails t unless the vendor closes conn within d —
+// well inside its 10 s handshake deadline, so a hostile first frame is
+// refused on sight rather than waited out.
+func requireClosedWithin(t *testing.T, conn net.Conn, d time.Duration) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(d))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("vendor answered a bogus registration")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("vendor still holds the connection open after %v", d)
+	}
+}
+
+// TestHugeFrameLengthRefused opens with a frame header declaring a
+// 2^40-byte body: the vendor must drop the connection at once, without
+// allocating or waiting for the body.
+func TestHugeFrameLengthRefused(t *testing.T) {
+	s, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(binary.AppendUvarint([]byte{frameVersion}, 1<<40)); err != nil {
+		t.Fatal(err)
+	}
+	requireClosedWithin(t, conn, time.Second)
+	if got := s.Agents(); len(got) != 0 {
+		t.Fatalf("huge-frame registration accepted: %v", got)
+	}
 }
 
 func TestRPCTimeout(t *testing.T) {
@@ -93,7 +132,11 @@ func TestRPCTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"op":"register","register":{"machine":"mute"}}` + "\n")); err != nil {
+	bw := bufio.NewWriter(conn)
+	if err := newFrameConn(nil, bw).WriteFrame(&Frame{Op: OpRegister, Register: &RegisterReq{Machine: "mute"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.WaitForAgents(1, time.Second); got != 1 {

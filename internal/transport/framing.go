@@ -2,18 +2,20 @@ package transport
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/distrib"
 )
 
-// maxWireChunk bounds a single chunk's declared wire length. The CDC
-// chunker never produces chunks anywhere near this (default max 16KB);
-// the cap exists so a corrupt or hostile header cannot make a reader
-// allocate or stream gigabytes.
+// maxWireChunk bounds a single chunk's, and a single frame body's,
+// declared wire length. The CDC chunker never produces chunks anywhere
+// near this (default max 16KB), nor does any frame; the cap exists so a
+// corrupt or hostile header cannot make a reader allocate or stream
+// gigabytes.
 const maxWireChunk = 1 << 26 // 64MB
 
 // chunkBufPool recycles the scratch buffers the binary chunk read path
@@ -28,60 +30,133 @@ var chunkBufPool = sync.Pool{
 	},
 }
 
-// frameConn frames one side of a transport connection: newline-delimited
-// JSON headers, optionally followed by a raw binary chunk body whose
-// layout (per-chunk address and length, in order) the header announces in
-// Frame.ChunkMeta. Raw bodies are what remove base64 from the chunk hot
-// path: the JSON header is a few dozen bytes per chunk, the payload
-// crosses the wire byte-for-byte.
+// frameBufPool recycles the scratch buffers WriteFrame encodes into. A
+// frame is encoded and handed to the buffered writer at once, so one
+// pooled buffer serves every connection in turn: a per-connection encode
+// buffer would cost a kilobyte per agent at fleet scale.
+var frameBufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, 512)
+		return &b
+	},
+}
+
+// maxPooledFrame is the largest encode buffer returned to frameBufPool;
+// the rare larger frame (an inline upgrade) does not pin its buffer.
+const maxPooledFrame = 64 * 1024
+
+// frameConn frames one side of a transport connection with the binary
+// frame codec (codec.go): each frame is a version byte, a uvarint body
+// length and the tagged body, optionally followed by a raw binary chunk
+// body whose layout (per-chunk address and length, in order) the frame
+// announces in Frame.ChunkMeta. The chunk payload crosses the wire
+// byte-for-byte, behind a header of a dozen bytes per chunk.
 //
 // A frameConn is not safe for concurrent use; callers serialize access
 // (the agent's serve loop, the vendor's per-connection RPC mutex).
 type frameConn struct {
 	br *bufio.Reader
 	bw *bufio.Writer
-	// line is the reusable header-read buffer: one allocation per
-	// connection, not per frame, regardless of header size.
+	// line is the reusable buffer for frame bodies too large to decode
+	// in place from br: it grows to the largest such frame the connection
+	// has read, not per frame.
 	line []byte
+	// wireLen is the wire length of the last frame ReadFrame read:
+	// version byte, length prefix and body.
+	wireLen int
 }
 
 func newFrameConn(br *bufio.Reader, bw *bufio.Writer) *frameConn {
 	return &frameConn{br: br, bw: bw}
 }
 
-// ReadFrame reads one newline-terminated JSON header into f. It replaces
-// the json.Decoder the wire format grew up with: a Decoder reads ahead
-// into its own buffer, which would swallow the raw chunk body following a
-// binary header; reading exactly one line keeps the stream positioned at
-// the body's first byte.
+// ReadFrame reads one frame into f. It reads exactly the declared body,
+// so the stream stays positioned at the first byte of any chunk body that
+// follows. A wrong version byte or a body length over maxWireChunk is
+// refused before any body byte is read. A body that fits the reader's
+// buffer is decoded in place; a larger one is read into fc.line, which
+// grows only as bytes actually arrive, so a hostile length prefix
+// allocates nothing up front. Either way the decoded frame copies every
+// byte it keeps: it never aliases a read buffer.
 func (fc *frameConn) ReadFrame(f *Frame) error {
-	fc.line = fc.line[:0]
-	for {
-		part, err := fc.br.ReadSlice('\n')
-		fc.line = append(fc.line, part...)
-		if err == nil {
-			break
-		}
-		if err != bufio.ErrBufferFull {
-			return err
-		}
-	}
-	*f = Frame{}
-	return json.Unmarshal(fc.line, f)
-}
-
-// WriteFrame marshals f and writes it as one newline-terminated header.
-// The buffered writer is not flushed: callers batch the header with any
-// binary body and flush once per message.
-func (fc *frameConn) WriteFrame(f Frame) error {
-	b, err := json.Marshal(f)
+	v, err := fc.br.ReadByte()
 	if err != nil {
 		return err
 	}
-	if _, err := fc.bw.Write(b); err != nil {
+	if v != frameVersion {
+		return fmt.Errorf("transport: frame version %d, want %d", v, frameVersion)
+	}
+	n, err := binary.ReadUvarint(fc.br)
+	if err != nil {
+		return fmt.Errorf("transport: frame length: %w", noEOF(err))
+	}
+	if n > maxWireChunk {
+		return fmt.Errorf("transport: frame declares a %d-byte body", n)
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	fc.wireLen = 1 + binary.PutUvarint(prefix[:], n) + int(n)
+	if int(n) <= fc.br.Size() {
+		body, err := fc.br.Peek(int(n))
+		if err != nil {
+			return noEOF(err)
+		}
+		err = decodeBody(body, f)
+		fc.br.Discard(int(n)) // cannot fail: Peek just buffered n bytes
 		return err
 	}
-	return fc.bw.WriteByte('\n')
+	body := fc.line[:0]
+	for len(body) < int(n) {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(max(len(body), fc.br.Size()), int(n)-len(body)))
+		}
+		k, err := io.ReadFull(fc.br, body[len(body):min(cap(body), int(n))])
+		body = body[:len(body)+k]
+		if err != nil {
+			fc.line = body
+			return noEOF(err)
+		}
+	}
+	fc.line = body
+	return decodeBody(body, f)
+}
+
+// noEOF turns the io.EOF of a frame cut short into io.ErrUnexpectedEOF:
+// only a stream that ends between frames ends cleanly.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// WriteFrame encodes f into a pooled scratch buffer and writes it as one
+// frame. The buffered writer is not flushed: callers batch the frame with
+// any binary body and flush once per message.
+func (fc *frameConn) WriteFrame(f *Frame) error {
+	bufp := frameBufPool.Get().(*[]byte)
+	body, err := appendBody((*bufp)[:0], f)
+	if err == nil {
+		err = fc.writeFrameBody(body)
+	}
+	if cap(body) <= maxPooledFrame {
+		*bufp = body[:0]
+		frameBufPool.Put(bufp)
+	}
+	return err
+}
+
+// writeFrameBody writes the version byte and length prefix, then body.
+func (fc *frameConn) writeFrameBody(body []byte) error {
+	if len(body) > maxWireChunk {
+		return fmt.Errorf("transport: frame body of %d bytes exceeds %d", len(body), maxWireChunk)
+	}
+	var head [1 + binary.MaxVarintLen64]byte
+	head[0] = frameVersion
+	if _, err := fc.bw.Write(binary.AppendUvarint(head[:1], uint64(len(body)))); err != nil {
+		return err
+	}
+	_, err := fc.bw.Write(body)
+	return err
 }
 
 // WriteChunkBody writes the raw bytes of chunks after a header whose

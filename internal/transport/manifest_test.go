@@ -222,13 +222,13 @@ func TestFramingReplyLargerThanReadBuffer(t *testing.T) {
 		defer client.Close()
 		bw := bufio.NewWriter(client)
 		fc := newFrameConn(bufio.NewReader(client), bw)
-		fc.WriteFrame(Frame{Op: OpRegister, Register: &RegisterReq{Machine: "big-reply"}})
+		fc.WriteFrame(&Frame{Op: OpRegister, Register: &RegisterReq{Machine: "big-reply"}})
 		bw.Flush()
 		var req Frame
 		if fc.ReadFrame(&req) != nil {
 			return
 		}
-		fc.WriteFrame(Frame{ID: req.ID, OK: true, Resources: want})
+		fc.WriteFrame(&Frame{ID: req.ID, OK: true, Resources: want})
 		bw.Flush()
 		fc.ReadFrame(&req) // hold the channel open until the vendor closes
 	}()

@@ -1,8 +1,9 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"strconv"
 	"strings"
@@ -60,16 +61,18 @@ func TestDeltaBytesMetered(t *testing.T) {
 	for _, kind := range []string{"delta", "full"} {
 		req := &ProfileDeltaReq{Machine: "delta-node", App: "mysql", Sig: 7,
 			Added: []WireItem{{Key: "my.cnf", Hash: 1}}, Full: kind == "full"}
-		raw, err := json.Marshal(Frame{ID: 1, Op: OpProfileDelta, Delta: req})
-		if err != nil {
+		var raw bytes.Buffer
+		bw := bufio.NewWriter(&raw)
+		if err := newFrameConn(nil, bw).WriteFrame(&Frame{ID: 1, Op: OpProfileDelta, Delta: req}); err != nil {
 			t.Fatal(err)
 		}
+		bw.Flush()
 		if _, err := a.pushDelta(s.Addr(), req); err != nil {
 			t.Fatal(err)
 		}
 		snap := deltaBytes.With(kind).Snapshot()
-		if snap.Count != 1 || snap.Sum != int64(len(raw)+1) {
-			t.Fatalf("kind=%s booked count=%d sum=%d, want 1 and %d", kind, snap.Count, snap.Sum, len(raw)+1)
+		if snap.Count != 1 || snap.Sum != int64(raw.Len()) {
+			t.Fatalf("kind=%s booked count=%d sum=%d, want 1 and %d", kind, snap.Count, snap.Sum, raw.Len())
 		}
 	}
 }

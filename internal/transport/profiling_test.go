@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"strings"
@@ -109,19 +110,27 @@ func TestUnacknowledgedReplyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"op":"register","register":{"machine":"shrug"}}` + "\n")); err != nil {
+	bw := bufio.NewWriter(conn)
+	fc := newFrameConn(bufio.NewReader(conn), bw)
+	if err := fc.WriteFrame(&Frame{Op: OpRegister, Register: &RegisterReq{Machine: "shrug"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.WaitForAgents(1, time.Second); got != 1 {
 		t.Fatalf("agents = %d", got)
 	}
 	go func() {
-		buf := make([]byte, 4096)
 		for {
-			if _, err := conn.Read(buf); err != nil {
+			var req Frame
+			if err := fc.ReadFrame(&req); err != nil {
 				return
 			}
-			if _, err := conn.Write([]byte(`{"id":1}` + "\n")); err != nil {
+			if err := fc.WriteFrame(&Frame{ID: 1}); err != nil {
+				return
+			}
+			if err := bw.Flush(); err != nil {
 				return
 			}
 		}

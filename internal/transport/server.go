@@ -97,8 +97,8 @@ type agentConn struct {
 	srv  *Server
 	// bw buffers frame writes so one frame is one buffered write burst
 	// with an explicit flush, not a stream of tiny unbuffered socket
-	// writes; fc is the line-based frame codec over it (and the reader),
-	// which is what lets a binary chunk body ride behind a JSON header.
+	// writes; fc is the binary frame codec over it (and the reader),
+	// which reads exactly one frame, so a raw chunk body can ride behind it.
 	bw *bufio.Writer
 	fc *frameConn
 
@@ -107,8 +107,8 @@ type agentConn struct {
 
 	// replaced is set (before the socket is closed) when a new
 	// registration under the same name supersedes this channel, so an
-	// in-flight call surfaces ErrAgentReplaced instead of the raw JSON
-	// decode error the closed socket would produce.
+	// in-flight call surfaces ErrAgentReplaced instead of the raw read
+	// error the closed socket would produce.
 	replaced atomic.Bool
 
 	// ackedSig is the signature of the last manifest the agent
@@ -178,7 +178,7 @@ func (ac *agentConn) callBody(ctx context.Context, req Frame, body []distrib.Chu
 	resp, err := ac.exchange(ctx, req, body, timeout)
 	// ac.mu serializes RPCs on this channel, so the connection byte
 	// counter's delta across the exchange is exactly this call's writes
-	// (JSON header plus any binary chunk body).
+	// (the frame plus any binary chunk body).
 	sent := ac.stats.bytes.Load() - bytes0
 	lat, by := ac.srv.rpcHists()
 	lat.With(req.Op).ObserveSince(t0)
@@ -300,7 +300,7 @@ func (ac *agentConn) exchange(ctx context.Context, req Frame, body []distrib.Chu
 		}
 		ac.conn.SetDeadline(time.Time{})
 	}()
-	if err := ac.fc.WriteFrame(req); err != nil {
+	if err := ac.fc.WriteFrame(&req); err != nil {
 		return Frame{}, ac.fail(ctx, "sending "+req.Op, err)
 	}
 	if body != nil {
@@ -578,21 +578,6 @@ func (s *Server) peerHintsFor(requester string, need []uint64) []string {
 	return s.peers.hints(requester, need)
 }
 
-// manifestAddrs flattens a manifest to its distinct chunk addresses.
-func manifestAddrs(man *WireManifest) []uint64 {
-	seen := make(map[uint64]bool)
-	out := make([]uint64, 0, len(man.Files))
-	for _, f := range man.Files {
-		for _, ref := range f.Chunks {
-			if !seen[ref.Hash] {
-				seen[ref.Hash] = true
-				out = append(out, ref.Hash)
-			}
-		}
-	}
-	return out
-}
-
 // markPeerHeld records that name resolved man completely — every address
 // in it is now in the agent's cache. This passive bookkeeping is the only
 // feed the chunk-location index has (besides AddPeerSource); no RPC ever
@@ -600,7 +585,7 @@ func manifestAddrs(man *WireManifest) []uint64 {
 func (s *Server) markPeerHeld(name string, man *WireManifest) {
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
-	s.peers.markHeld(name, manifestAddrs(man))
+	s.peers.markHeld(name, man.Addrs())
 }
 
 // creditPeerResult books one OpPeerFetch round into the transfer
@@ -759,15 +744,15 @@ func (s *Server) register(conn net.Conn) {
 		return
 	}
 	if hello.Op == OpProfileDelta && hello.Delta != nil {
-		// A watch-mode agent's short-lived delta push: meter the frame
-		// line just read, handle, answer one frame, and close — it never
-		// becomes a control channel.
+		// A watch-mode agent's short-lived delta push: meter the wire
+		// length of the frame just read, handle, answer one frame, and
+		// close — it never becomes a control channel.
 		s.rpcHists() // registers the transport's families on first use
 		kind := "delta"
 		if hello.Delta.Full {
 			kind = "full"
 		}
-		s.deltaBytes().Observe(kind, int64(len(fc.line)))
+		s.deltaBytes().Observe(kind, int64(fc.wireLen))
 		resp := Frame{ID: hello.ID}
 		if h := s.OnProfileDelta; h == nil {
 			resp.Err = "vendor accepts no profile deltas"
@@ -782,7 +767,7 @@ func (s *Server) register(conn net.Conn) {
 		bw := bufio.NewWriter(conn)
 		fc.bw = bw
 		conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		if err := fc.WriteFrame(resp); err == nil {
+		if err := fc.WriteFrame(&resp); err == nil {
 			bw.Flush()
 		}
 		unpend()
@@ -821,7 +806,7 @@ func (s *Server) register(conn net.Conn) {
 	if old, dup := s.registry.Put(ac.name, ac); dup {
 		// Mark the superseded channel replaced BEFORE closing its socket,
 		// so a racing in-flight call classifies as ErrAgentReplaced rather
-		// than failing with a raw JSON decode error.
+		// than failing with a raw read error.
 		old.replaced.Store(true)
 		old.conn.Close()
 	}

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"runtime"
@@ -23,7 +22,7 @@ func silentAgent(t *testing.T, s *Server, name string) net.Conn {
 	}
 	t.Cleanup(func() { conn.Close() })
 	bw := bufio.NewWriter(conn)
-	if err := json.NewEncoder(bw).Encode(Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}}); err != nil {
+	if err := newFrameConn(nil, bw).WriteFrame(&Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {

@@ -236,7 +236,7 @@ func (f *SimFleet) serve(name string, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 2048)
 	bw := bufio.NewWriterSize(conn, 1024)
 	fc := newFrameConn(br, bw)
-	if err := fc.WriteFrame(Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}}); err != nil {
+	if err := fc.WriteFrame(&Frame{Op: OpRegister, Register: &RegisterReq{Machine: name}}); err != nil {
 		return
 	}
 	if err := bw.Flush(); err != nil {
@@ -276,7 +276,7 @@ func (f *SimFleet) serve(name string, conn net.Conn) {
 			return
 		}
 		resp.ID = req.ID
-		if err := fc.WriteFrame(resp); err != nil {
+		if err := fc.WriteFrame(&resp); err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {

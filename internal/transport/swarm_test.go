@@ -151,7 +151,7 @@ func fakePeer(t *testing.T, serve func(fc *frameConn, bw *bufio.Writer, req Fram
 // upgradeAddrs resolves the distinct chunk addresses of up in the
 // server's store, as a fake peer's advertised holdings.
 func upgradeAddrs(s *Server, up *pkgmgr.Upgrade) []uint64 {
-	return manifestAddrs(s.ChunkStore().Manifest(up))
+	return s.ChunkStore().Manifest(up).Addrs()
 }
 
 // TestCorruptPeerFallsBackToVendor: a hinted peer serves bytes whose
@@ -175,7 +175,7 @@ func TestCorruptPeerFallsBackToVendor(t *testing.T) {
 			data[0] ^= 0xff
 			chunks[i].Data = data
 		}
-		fc.WriteFrame(Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(chunks)})
+		fc.WriteFrame(&Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(chunks)})
 		fc.WriteChunkBody(chunks)
 		bw.Flush()
 	})
@@ -211,7 +211,7 @@ func TestPeerDiesMidFetch(t *testing.T) {
 		if err != nil {
 			return
 		}
-		fc.WriteFrame(Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(chunks)})
+		fc.WriteFrame(&Frame{ID: req.ID, OK: true, ChunkMeta: chunkMeta(chunks)})
 		// First chunk only, then half of the second: the body dies mid-read.
 		bw.Write(chunks[0].Data)
 		if len(chunks) > 1 {

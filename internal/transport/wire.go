@@ -1,5 +1,5 @@
 // Package transport makes Mirage distributed: a vendor-side TCP server, a
-// user-machine agent, and a JSON wire protocol carrying fingerprint
+// user-machine agent, and a binary wire protocol carrying fingerprint
 // exchanges, upgrade pushes, validation commands and problem reports.
 //
 // Agents dial the vendor and keep a persistent control channel open (the
@@ -8,8 +8,12 @@
 // deployment controller as deploy.Node values, so the same staged
 // protocols drive local fleets and networked ones.
 //
-// Wire format: newline-delimited JSON frames. JSON string escaping
-// guarantees no raw newline appears inside a frame.
+// Wire format: length-prefixed binary frames, [version byte][uvarint body
+// length][body], where the body is a run of (field tag, value) pairs for
+// the fields of Frame that are set (codec.go has the full layout). A
+// frame announcing ChunkMeta is followed by the raw chunk bytes. The json
+// tags on Frame and its payloads are not the wire format: they name the
+// fields in JSON renderings and size profile deltas in benchmarks.
 package transport
 
 import (
@@ -31,10 +35,11 @@ type Frame struct {
 	// Err is set on failed responses.
 	Err string `json:"err,omitempty"`
 
-	// Request payloads. Fingerprint is kept as raw JSON because its body
-	// — the vendor item list and registry — is identical for every agent
-	// of a profiling fan-out: the server serializes it once per collection
-	// and reuses the bytes across the fleet.
+	// Request payloads. Fingerprint is an opaque JSON-encoded
+	// FingerprintReq because its body — the vendor item list and registry
+	// — is identical for every agent of a profiling fan-out: the server
+	// serializes it once per collection and the codec copies the bytes
+	// into every agent's frame.
 	Register    *RegisterReq     `json:"register,omitempty"`
 	Identify    *IdentifyReq     `json:"identify,omitempty"`
 	Record      *RecordReq       `json:"record,omitempty"`
@@ -45,7 +50,7 @@ type Frame struct {
 	Delta       *ProfileDeltaReq `json:"delta,omitempty"`
 
 	// ChunkMeta announces a binary chunk body: immediately after this
-	// frame's newline follow the raw bytes of each listed chunk, in
+	// frame's last byte follow the raw bytes of each listed chunk, in
 	// order, ref.Size bytes each — no base64, no per-chunk framing. Used
 	// by every OpFetchChunks push and every OpPeerGet response.
 	ChunkMeta []distrib.ChunkRef `json:"chunk_meta,omitempty"`
@@ -68,11 +73,11 @@ type Frame struct {
 	// peer tier served (and which peers were dropped), so the vendor's
 	// transfer counters see bytes it never itself moved.
 	Peer *PeerResult `json:"peer,omitempty"`
-	// OK acknowledges a successful response. Deliberately NOT omitempty:
-	// with omitempty a false value serialized identically to an absent
-	// one, so a handler that forgot to acknowledge was indistinguishable
-	// from a malformed or truncated reply. The vendor rejects replies
-	// with neither Err nor OK set.
+	// OK acknowledges a successful response; on the wire it is a bare
+	// tag. The vendor rejects replies with neither Err nor OK set, so a
+	// handler that forgot to acknowledge is told apart from a successful
+	// empty response. (Not omitempty in JSON renderings, for the same
+	// reason.)
 	OK     bool   `json:"ok"`
 	Status string `json:"status,omitempty"`
 }
