@@ -36,30 +36,21 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/apps"
-	"repro/internal/cluster"
 	"repro/internal/deploy"
-	"repro/internal/fleetwatch"
 	"repro/internal/logx"
-	"repro/internal/machine"
 	"repro/internal/orchestrator"
-	"repro/internal/parser"
 	"repro/internal/pkgmgr"
 	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/staging"
-	"repro/internal/telemetry"
-	"repro/internal/transport"
+	"repro/internal/vendorstack"
 )
 
 const (
@@ -74,160 +65,135 @@ func fatal(msg string, args ...any) {
 	os.Exit(exitInfra)
 }
 
-// Flag defaults overridable by environment variables, so a container
-// image can bake operational defaults (MIRAGE_ADMIN_ADDR, …) without
-// rewriting the command line; an explicit flag still wins.
-func envStr(key, def string) string {
-	if v, ok := os.LookupEnv(key); ok {
-		return v
-	}
-	return def
+// options is the parsed command line: the vendor stack's config and more.
+type options struct {
+	stack        vendorstack.Config
+	agents       int
+	wait         time.Duration
+	policy       string
+	showPlan     bool
+	urrFile      string
+	journal      string
+	resume       bool
+	serve        bool
+	autoRollback bool
+	gate         staging.GatePolicy // the vendor's default canary gate
+	log          *logx.Options
 }
 
-func envInt(key string, def int) int {
-	if v, ok := os.LookupEnv(key); ok {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-		slog.Warn("ignoring unparsable env override", "var", key, "value", v)
-	}
-	return def
+// envOverrides lets a container image bake operational defaults without
+// rewriting the command line. Each value goes through its flag's own
+// parser before the command line is parsed: an explicit flag still wins,
+// and an unparsable value is a usage error.
+var envOverrides = []struct{ env, flag string }{
+	{"MIRAGE_LISTEN_ADDR", "listen"},
+	{"MIRAGE_AGENTS", "agents"},
+	{"MIRAGE_WAIT", "wait"},
+	{"MIRAGE_POLICY", "policy"},
+	{"MIRAGE_SERVE", "serve"},
+	{"MIRAGE_ADMIN_ADDR", "admin"},
+	{"MIRAGE_JOURNAL_DIR", "journal-dir"},
+	{"MIRAGE_SHARDS", "shards"},
+	{"MIRAGE_WORKER_BUDGET", "worker-budget"},
+	{"MIRAGE_MAX_ROLLOUTS", "max-rollouts"},
+	{"MIRAGE_MAX_QUEUED", "max-queued"},
 }
 
-func envBool(key string, def bool) bool {
-	if v, ok := os.LookupEnv(key); ok {
-		if b, err := strconv.ParseBool(v); err == nil {
-			return b
+// parseFlags parses args after applying the MIRAGE_* overrides that
+// lookup (os.LookupEnv in production) reports.
+func parseFlags(args []string, lookup func(string) (string, bool)) (*options, error) {
+	fs := flag.NewFlagSet("mirage-vendor", flag.ContinueOnError)
+	o := &options{}
+	c := &o.stack
+	fs.StringVar(&c.Listen, "listen", "127.0.0.1:7033", "address to listen on for agents (env MIRAGE_LISTEN_ADDR)")
+	fs.IntVar(&o.agents, "agents", 1, "number of agents to wait for (env MIRAGE_AGENTS)")
+	fs.DurationVar(&o.wait, "wait", 30*time.Second, "how long to wait for agents (env MIRAGE_WAIT)")
+	fs.StringVar(&o.policy, "policy", "balanced", "deployment policy: balanced, frontloading, nostaging, random or adaptive (env MIRAGE_POLICY)")
+	fs.IntVar(&c.Diameter, "d", 3, "QT clustering diameter (0 groups identical profiles only)")
+	fs.IntVar(&c.Parallelism, "parallel", deploy.DefaultParallelism, "worker-pool size for node testing within a wave")
+	fs.IntVar(&c.ProfileParallelism, "profile-parallel", 0, "concurrent agent fingerprint RPCs while profiling the fleet (0 = default)")
+	fs.BoolVar(&c.Inline, "inline", false, "legacy distribution: ship the full upgrade payload inline in every test/integrate frame instead of content-addressed chunk manifests")
+	fs.BoolVar(&c.NoPeers, "no-peers", false, "disable peer swarming: every missed chunk is pushed by the vendor even when gated agents could serve it")
+	fs.BoolVar(&o.showPlan, "plan", false, "print the staged wave schedule before deploying")
+	fs.StringVar(&o.urrFile, "urr", "", "save the report repository to this file after deployment")
+	fs.StringVar(&o.journal, "journal", "", "write-ahead deployment journal file for the one-shot rollout: every state transition is persisted, making the deployment durable and resumable")
+	fs.BoolVar(&o.resume, "resume", false, "resume the rollout recorded in -journal (skip stages and members it records as done) instead of starting fresh")
+	fs.BoolVar(&o.serve, "serve", false, "control-plane mode: expose the HTTP admin API on -admin and start rollouts on demand (mirage-ctl) instead of running one and exiting (env MIRAGE_SERVE)")
+	fs.StringVar(&c.Admin, "admin", "127.0.0.1:7080", "address for the HTTP control plane (one-shot mode serves it too, so a running rollout can be paused or aborted) (env MIRAGE_ADMIN_ADDR)")
+	fs.StringVar(&c.JournalDir, "journal-dir", "", "directory for per-rollout journals in -serve mode (empty = unjournaled rollouts unless the start request names a journal) (env MIRAGE_JOURNAL_DIR)")
+	fs.IntVar(&c.Shards, "shards", 0, "agent-registry shard count, rounded up to a power of two (0 = derive from GOMAXPROCS); more shards mean less lock contention under registration storms and concurrent rollouts (env MIRAGE_SHARDS)")
+	fs.IntVar(&c.WorkerBudget, "worker-budget", 0, "vendor-wide cap on concurrently in-flight member RPCs shared by ALL rollouts (0 = unlimited); individual rollouts still honor -parallel within it (env MIRAGE_WORKER_BUDGET)")
+	fs.IntVar(&c.MaxRollouts, "max-rollouts", 0, "admission control: rollouts allowed to execute concurrently (0 = unbounded); POST /rollouts beyond this and -max-queued returns 429 (env MIRAGE_MAX_ROLLOUTS)")
+	fs.IntVar(&c.MaxQueued, "max-queued", 0, "rollouts allowed to queue for an execution slot when -max-rollouts are active (0 = reject immediately) (env MIRAGE_MAX_QUEUED)")
+	fs.BoolVar(&c.Pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ on the admin API")
+	fs.BoolVar(&o.autoRollback, "auto-rollback", false, "journaled automatic rollback: when the vendor abandons the upgrade, drive every integrated member back to the mysql 4.1.22 baseline through the chunk machinery in reverse")
+	fs.Float64Var(&o.gate.BaselineFailureRate, "gate-baseline", 0, "canary gate: expected baseline failure rate (see -gate-min-samples)")
+	fs.Float64Var(&o.gate.MaxExcessRate, "gate-excess", 0, "canary gate: tolerated excess failure rate over -gate-baseline")
+	fs.IntVar(&o.gate.MinSamples, "gate-min-samples", 0, "canary gate: minimum validation verdicts before the gate decides; 0 disables the gate (classic binary representative pass/fail)")
+	f := &c.Faults
+	fs.Uint64Var(&f.Seed, "fault-seed", 1, "chaos: seed for the deterministic per-agent fault streams")
+	fs.Float64Var(&f.Drop, "fault-drop", 0, "chaos: probability a vendor→agent call is dropped before delivery (connection dies)")
+	fs.Float64Var(&f.Delay, "fault-delay", 0, "chaos: probability a call is delayed by -fault-delay-by")
+	fs.DurationVar(&f.DelayBy, "fault-delay-by", 2*time.Millisecond, "chaos: injected latency for delay faults")
+	fs.Float64Var(&f.Corrupt, "fault-corrupt", 0, "chaos: probability a pushed chunk payload is corrupted in flight (the content address catches it)")
+	fs.Float64Var(&f.Reset, "fault-reset", 0, "chaos: probability the connection resets after the agent did the work but before the reply is seen")
+	fs.IntVar(&f.MaxFaults, "fault-max", 0, "chaos: total rate-fault budget, 0 = unlimited (crash schedules don't consume it)")
+	o.log = logx.Flags(fs)
+	for _, e := range envOverrides {
+		if v, ok := lookup(e.env); ok {
+			if err := fs.Set(e.flag, v); err != nil {
+				err = fmt.Errorf("invalid value %q for %s: %w", v, e.env, err)
+				fmt.Fprintln(fs.Output(), err)
+				return nil, err
+			}
 		}
-		slog.Warn("ignoring unparsable env override", "var", key, "value", v)
 	}
-	return def
-}
-
-func envDur(key string, def time.Duration) time.Duration {
-	if v, ok := os.LookupEnv(key); ok {
-		if d, err := time.ParseDuration(v); err == nil {
-			return d
-		}
-		slog.Warn("ignoring unparsable env override", "var", key, "value", v)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	return def
+	if c.Admin == "" {
+		// Both modes serve the admin API.
+		err := errors.New("-admin (MIRAGE_ADMIN_ADDR) must name an address")
+		fmt.Fprintln(fs.Output(), err)
+		return nil, err
+	}
+	if o.gate.Enabled = o.gate.MinSamples > 0; !o.gate.Enabled {
+		o.gate = staging.GatePolicy{}
+	}
+	return o, nil
 }
 
 func main() {
-	listen := flag.String("listen", envStr("MIRAGE_LISTEN_ADDR", "127.0.0.1:7033"), "address to listen on for agents (env MIRAGE_LISTEN_ADDR)")
-	agents := flag.Int("agents", envInt("MIRAGE_AGENTS", 1), "number of agents to wait for (env MIRAGE_AGENTS)")
-	wait := flag.Duration("wait", envDur("MIRAGE_WAIT", 30*time.Second), "how long to wait for agents (env MIRAGE_WAIT)")
-	policy := flag.String("policy", envStr("MIRAGE_POLICY", "balanced"), "deployment policy: balanced, frontloading, nostaging, random or adaptive (env MIRAGE_POLICY)")
-	diameter := flag.Int("d", 3, "QT clustering diameter")
-	parallel := flag.Int("parallel", deploy.DefaultParallelism, "worker-pool size for node testing within a wave")
-	profilePar := flag.Int("profile-parallel", 0, "concurrent agent fingerprint RPCs while profiling the fleet (0 = default)")
-	inline := flag.Bool("inline", false, "legacy distribution: ship the full upgrade payload inline in every test/integrate frame instead of content-addressed chunk manifests")
-	noPeers := flag.Bool("no-peers", false, "disable peer swarming: every missed chunk is pushed by the vendor even when gated agents could serve it")
-	showPlan := flag.Bool("plan", false, "print the staged wave schedule before deploying")
-	urrFile := flag.String("urr", "", "save the report repository to this file after deployment")
-	journal := flag.String("journal", "", "write-ahead deployment journal file for the one-shot rollout: every state transition is persisted, making the deployment durable and resumable")
-	resume := flag.Bool("resume", false, "resume the rollout recorded in -journal (skip stages and members it records as done) instead of starting fresh")
-	serve := flag.Bool("serve", envBool("MIRAGE_SERVE", false), "control-plane mode: expose the HTTP admin API on -admin and start rollouts on demand (mirage-ctl) instead of running one and exiting (env MIRAGE_SERVE)")
-	admin := flag.String("admin", envStr("MIRAGE_ADMIN_ADDR", "127.0.0.1:7080"), "address for the HTTP control plane (one-shot mode serves it too, so a running rollout can be paused or aborted) (env MIRAGE_ADMIN_ADDR)")
-	journalDir := flag.String("journal-dir", envStr("MIRAGE_JOURNAL_DIR", ""), "directory for per-rollout journals in -serve mode (empty = unjournaled rollouts unless the start request names a journal) (env MIRAGE_JOURNAL_DIR)")
-	shards := flag.Int("shards", envInt("MIRAGE_SHARDS", 0), "agent-registry shard count, rounded up to a power of two (0 = derive from GOMAXPROCS); more shards mean less lock contention under registration storms and concurrent rollouts")
-	workerBudget := flag.Int("worker-budget", envInt("MIRAGE_WORKER_BUDGET", 0), "vendor-wide cap on concurrently in-flight member RPCs shared by ALL rollouts (0 = unlimited); individual rollouts still honor -parallel within it (env MIRAGE_WORKER_BUDGET)")
-	maxRollouts := flag.Int("max-rollouts", envInt("MIRAGE_MAX_ROLLOUTS", 0), "admission control: rollouts allowed to execute concurrently (0 = unbounded); POST /rollouts beyond this and -max-queued returns 429 (env MIRAGE_MAX_ROLLOUTS)")
-	maxQueued := flag.Int("max-queued", envInt("MIRAGE_MAX_QUEUED", 0), "rollouts allowed to queue for an execution slot when -max-rollouts are active (0 = reject immediately) (env MIRAGE_MAX_QUEUED)")
-	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the admin API")
-	autoRollback := flag.Bool("auto-rollback", false, "journaled automatic rollback: when the vendor abandons the upgrade, drive every integrated member back to the mysql 4.1.22 baseline through the chunk machinery in reverse")
-	gateBaseline := flag.Float64("gate-baseline", 0, "canary gate: expected baseline failure rate (see -gate-min-samples)")
-	gateExcess := flag.Float64("gate-excess", 0, "canary gate: tolerated excess failure rate over -gate-baseline")
-	gateMinSamples := flag.Int("gate-min-samples", 0, "canary gate: minimum validation verdicts before the gate decides; 0 disables the gate (classic binary representative pass/fail)")
-	faultSeed := flag.Uint64("fault-seed", 1, "chaos: seed for the deterministic per-agent fault streams")
-	faultDrop := flag.Float64("fault-drop", 0, "chaos: probability a vendor→agent call is dropped before delivery (connection dies)")
-	faultDelay := flag.Float64("fault-delay", 0, "chaos: probability a call is delayed by -fault-delay-by")
-	faultDelayBy := flag.Duration("fault-delay-by", 2*time.Millisecond, "chaos: injected latency for delay faults")
-	faultCorrupt := flag.Float64("fault-corrupt", 0, "chaos: probability a pushed chunk payload is corrupted in flight (the content address catches it)")
-	faultReset := flag.Float64("fault-reset", 0, "chaos: probability the connection resets after the agent did the work but before the reply is seen")
-	faultMax := flag.Int("fault-max", 0, "chaos: total rate-fault budget, 0 = unlimited (crash schedules don't consume it)")
-	logOpts := logx.Flags(flag.CommandLine)
-	flag.Parse()
-	if _, err := logOpts.Setup(); err != nil {
+	o, err := parseFlags(os.Args[1:], os.LookupEnv)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(exitUsage)
+	}
+	if _, err := o.log.Setup(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(exitUsage)
 	}
-	if *resume && *journal == "" {
+	if o.resume && o.journal == "" {
 		fmt.Fprintln(os.Stderr, "-resume requires -journal")
 		os.Exit(exitUsage)
 	}
-	pol := parsePolicy(*policy) // validate before waiting on agents
+	pol, ok := staging.ParsePolicy(o.policy) // validate before waiting on agents
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown policy %q\n", o.policy)
+		os.Exit(exitUsage)
+	}
 
-	srv, err := transport.ListenWith(*listen, transport.ListenOpts{Shards: *shards})
+	st, err := vendorstack.New(o.stack)
 	if err != nil {
-		fatal("listen failed", "err", err)
+		fatal("vendor startup failed", "err", err)
 	}
-	defer srv.Close()
-	srv.InlinePayloads = *inline
-	srv.DisablePeers = *noPeers
-	// One registry and tracer per vendor process: the transport books RPC
-	// latency and exports its transfer counters through it, the
-	// orchestrator threads it (and per-rollout traces) through every
-	// rollout, and GET /metrics renders it.
-	telem := telemetry.NewRegistry()
-	tracer := &telemetry.Tracer{}
-	srv.Telemetry = telem
-	if *faultDrop > 0 || *faultDelay > 0 || *faultCorrupt > 0 || *faultReset > 0 {
-		srv.Faults = transport.NewFaultInjector(transport.FaultPlan{
-			Seed: *faultSeed, Drop: *faultDrop, Delay: *faultDelay,
-			Corrupt: *faultCorrupt, Reset: *faultReset,
-			DelayBy: *faultDelayBy, MaxFaults: *faultMax,
-		})
-		slog.Info("chaos: fault injection armed", "seed", *faultSeed, "drop", *faultDrop,
-			"delay", *faultDelay, "corrupt", *faultCorrupt, "reset", *faultReset)
-	}
-	// Live-fleet drift: the monitor exists once the fleet is profiled; the
-	// delta hook is installed before serving so an agent that pushes early
-	// gets a clean "not yet" error instead of a race. The orchestrator
-	// pointer is published the same way — the bridge from a classified
-	// drift event to rollout gating.
-	var fleetMu sync.Mutex
-	var monitor *fleetwatch.Monitor
-	var driftOrch *orchestrator.Orchestrator
-	getMonitor := func() *fleetwatch.Monitor {
-		fleetMu.Lock()
-		defer fleetMu.Unlock()
-		return monitor
-	}
-	srv.OnProfileDelta = func(req *transport.ProfileDeltaReq) (bool, error) {
-		m := getMonitor()
-		if m == nil {
-			return false, errors.New("fleet not profiled yet")
-		}
-		ev, err := m.ApplyDelta(req.Machine, req.AppSet,
-			transport.ItemsFromWire(req.Added).Items(),
-			transport.ItemsFromWire(req.Removed).Items(), req.Sig, req.Full)
-		if err != nil {
-			var rs *fleetwatch.ErrResync
-			if errors.As(err, &rs) {
-				return true, nil // ask the agent for its full profile
-			}
-			return false, err
-		}
-		if ev.Class != fleetwatch.ClassStable {
-			slog.Info("fleet drift", "machine", ev.Machine, "class", string(ev.Class),
-				"from", ev.From, "to", ev.To, "view", ev.Version)
-			fleetMu.Lock()
-			o := driftOrch
-			fleetMu.Unlock()
-			if o != nil {
-				o.NotifyDrift(orchestrator.DriftEvent{
-					Machine: ev.Machine, Cluster: ev.From, To: ev.To,
-					Class: string(ev.Class), Version: ev.Version,
-				})
-			}
-		}
-		return false, nil
-	}
-	slog.Info("vendor listening", "addr", srv.Addr(), "agents_expected", *agents)
-	if got := srv.WaitForAgents(*agents, *wait); got < *agents {
-		fatal("agents missing at deadline", "registered", got, "expected", *agents)
+	defer st.Close()
+	srv := st.Server
+	slog.Info("vendor listening", "addr", srv.Addr(), "agents_expected", o.agents)
+	if got := srv.WaitForAgents(o.agents, o.wait); got < o.agents {
+		fatal("agents missing at deadline", "registered", got, "expected", o.agents)
 	}
 	names := srv.Agents()
 	slog.Info("agents registered", "names", names)
@@ -253,27 +219,11 @@ func main() {
 		}
 	}
 
-	// Fingerprint against the vendor reference and cluster, on the shared
-	// profile pipeline: collect agent profiles concurrently, cluster the
-	// distinct profiles, assemble clusters of deployment over remote nodes.
-	refCfg := transport.MirageRegistryConfig()
-	reg, err := transport.BuildRegistry(refCfg)
-	if err != nil {
-		fatal("building parser registry failed", "err", err)
-	}
-	refs := scenario.MySQLResourceRefs()
-	vendorItems := parser.NewFingerprinter(reg).Fingerprint(scenario.MySQLVendorReference(), refs)
-	srv.ProfileParallelism = *profilePar
-	rc, err := srv.ClusterRemote(ctx, "mysql", refs, refCfg, vendorItems, cluster.Config{Diameter: *diameter}, 1)
+	rc, err := st.Profile(ctx)
 	if err != nil {
 		fatal("fleet clustering failed", "err", err)
 	}
 	dcs := rc.Deploy
-	fleetMu.Lock()
-	monitor = fleetwatch.NewMonitor(cluster.NewSnapshot(
-		cluster.Config{Diameter: *diameter}, profile.Fingerprints(rc.Profiles), rc.Clusters), telem)
-	monitor.SetRepresentatives(dcs)
-	fleetMu.Unlock()
 	slog.Info("fleet profiled", "agents", len(rc.Profiles),
 		"distinct_profiles", profile.Distinct(rc.Profiles), "clusters", len(rc.Clusters))
 	for _, c := range rc.Clusters {
@@ -284,20 +234,6 @@ func main() {
 	// served; the admin API is mounted either way so mirage-ctl can
 	// observe and control whatever is running.
 	urr := report.New()
-	orch := orchestrator.New(*journalDir)
-	orch.Budget = deploy.NewBudget(*workerBudget)
-	orch.MaxActive = *maxRollouts
-	orch.MaxQueued = *maxQueued
-	orch.Telemetry = telem
-	orch.Tracer = tracer
-	fleetMu.Lock()
-	driftOrch = orch
-	fleetMu.Unlock()
-	vendorGate := staging.GatePolicy{}
-	if *gateMinSamples > 0 {
-		vendorGate = staging.GatePolicy{Enabled: true, BaselineFailureRate: *gateBaseline,
-			MaxExcessRate: *gateExcess, MinSamples: *gateMinSamples}
-	}
 	launch := func(req orchestrator.StartRequest) (orchestrator.Spec, error) {
 		p := pol
 		if req.Policy != "" {
@@ -307,97 +243,49 @@ func main() {
 			}
 			p = parsed
 		}
-		gate := vendorGate
+		gate := o.gate
 		if req.GateMinSamples > 0 {
 			gate = req.GatePolicy()
 		}
 		return orchestrator.Spec{
 			Policy:       p,
-			Upgrade:      mysql5(),
+			Upgrade:      scenario.MySQLUpgrade(),
 			Clusters:     dcs,
-			Fix:          fixer(urr),
+			Fix:          fix,
 			URR:          urr,
 			Journal:      req.Journal,
 			Resume:       req.Resume,
 			Rebuild:      rebuildRelease,
-			Configure:    configure(*parallel, srv, getMonitor),
 			Gate:         gate,
-			Baseline:     mysql4(),
-			AutoRollback: *autoRollback || req.AutoRollback,
+			Baseline:     scenario.MySQLBaseline(),
+			AutoRollback: o.autoRollback || req.AutoRollback,
 			Drift:        req.DriftPolicy(),
-			Restage: func() ([]*deploy.Cluster, error) {
-				m := getMonitor()
-				if m == nil {
-					return nil, errors.New("fleet monitor not initialised")
-				}
-				return m.DeployClusters(1, func(name string) deploy.Node { return srv.Node(name) })
-			},
+			Restage:      st.Restage,
 		}, nil
 	}
-	api := &orchestrator.API{
-		Orch: orch, Launch: launch, Base: ctx,
-		EnablePprof: *pprofFlag,
-		FleetDrift: func() (any, error) {
-			m := getMonitor()
-			if m == nil {
-				return nil, errors.New("fleet not profiled yet")
-			}
-			return m.View(), nil
-		},
-		// POST /fleet/refresh: full re-fingerprint of every registered
-		// agent into a fresh fleet view version (drift flags reset — the
-		// new view is ground truth, not a delta).
-		FleetRefresh: func() (any, error) {
-			m := getMonitor()
-			if m == nil {
-				return nil, errors.New("fleet not profiled yet")
-			}
-			fps, err := srv.FingerprintAll(ctx, "mysql", refs, refCfg, vendorItems)
-			if err != nil {
-				return nil, err
-			}
-			v := m.Refresh(fps)
-			slog.Info("fleet refreshed", "view", v.Version, "machines", v.Machines, "clusters", len(v.Clusters))
-			return v, nil
-		},
+	admin, err := st.Serve(ctx, launch)
+	if err != nil {
+		fatal("control plane failed", "err", err)
 	}
-	httpSrv := &http.Server{Addr: *admin, Handler: api.Handler()}
-	go func() {
-		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			slog.Error("control plane server failed", "err", err)
-		}
-	}()
-	defer httpSrv.Close()
-	slog.Info("control plane up", "url", "http://"+*admin)
+	slog.Info("control plane up", "url", "http://"+admin)
 
-	if *serve {
+	if o.serve {
 		// Control-plane mode: rollouts arrive over HTTP; run until
-		// interrupted (SIGINT or SIGTERM), then drain gracefully: stop
-		// taking admissions first — in-flight HTTP requests finish, new
-		// ones are refused — then unwind the admission queue and abort
-		// whatever is still executing.
+		// interrupted (SIGINT or SIGTERM), then drain: refuse new
+		// admissions, abort whatever is queued or executing, and exit on
+		// the final statuses.
 		<-ctx.Done()
-		slog.Info("drain: signal received; refusing new admissions",
-			"active", orch.Active(), "queued", orch.Queued())
-		shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
-		httpSrv.Shutdown(shutCtx) //nolint:errcheck — drain is best-effort past the timeout
-		cancelShut()
-		for _, h := range orch.List() {
-			if st := h.Status(); !st.State.Terminal() {
-				slog.Info("interrupt: aborting rollout", "rollout", h.ID())
-				h.Abort()
-			}
-		}
+		drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		statuses := st.Drain(drainCtx)
+		cancel()
 		code := 0
-		for _, st := range orch.Statuses() {
-			slog.Info("rollout drained", "rollout", st.ID, "state", string(st.State),
-				"integrated", st.Integrated, "members", len(st.Members))
-			if st.State != orchestrator.StateSucceeded {
+		for _, rs := range statuses {
+			if rs.State != orchestrator.StateSucceeded {
 				code = exitRollout
 			}
 		}
-		if *urrFile != "" {
-			saveURR(urr, *urrFile)
+		if o.urrFile != "" {
+			saveURR(urr, o.urrFile)
 		}
 		os.Exit(code)
 	}
@@ -407,20 +295,20 @@ func main() {
 	if err != nil {
 		fatal("building rollout spec failed", "err", err)
 	}
-	spec.Journal, spec.Resume = *journal, *resume
-	if *showPlan {
+	spec.Journal, spec.Resume = o.journal, o.resume
+	if o.showPlan {
 		ctl := deploy.NewController(urr, nil)
 		fmt.Print(ctl.PlanFor(pol, dcs).Describe())
 	}
-	h, err := orch.Start(ctx, spec)
+	h, err := st.Orch.Start(ctx, spec)
 	if err != nil {
 		fatal("starting rollout failed", "err", err)
 	}
 	// The rollout ID is the operator's handle: mirage-ctl status/pause/
 	// abort target it on the admin API while the rollout runs.
-	fmt.Printf("rollout %s started (policy=%s, admin http://%s)\n", h.ID(), spec.Policy, *admin)
+	fmt.Printf("rollout %s started (policy=%s, admin http://%s)\n", h.ID(), spec.Policy, admin)
 	out, err := h.Wait(context.Background())
-	st := h.Status()
+	rs := h.Status()
 	if err != nil {
 		// An aborted rollout is a verdict on the rollout (exit 3); every
 		// other error here — journal I/O halting the plan, a resume
@@ -429,7 +317,7 @@ func main() {
 		// gate never converged": rounds exhaust and the upgrade is
 		// abandoned), returns with err == nil and is handled below.
 		slog.Error("rollout failed", "rollout", h.ID(), "err", err)
-		if st.State == orchestrator.StateAborted {
+		if rs.State == orchestrator.StateAborted {
 			os.Exit(exitRollout)
 		}
 		os.Exit(exitInfra)
@@ -440,7 +328,7 @@ func main() {
 		slog.Warn("member quarantined (unreachable through retries)", "node", name)
 	}
 	mode := "chunked"
-	if *inline {
+	if o.stack.Inline {
 		mode = "inline"
 	}
 	fmt.Printf("transfer mode=%s frames=%d bytes=%d chunk_bytes=%d chunk_hits=%d chunk_misses=%d\n",
@@ -452,8 +340,8 @@ func main() {
 		fmt.Printf("failure mode %q: %d report(s) from clusters %v\n",
 			g.Signature, len(g.Reports), g.Clusters)
 	}
-	if *urrFile != "" {
-		saveURR(urr, *urrFile)
+	if o.urrFile != "" {
+		saveURR(urr, o.urrFile)
 	}
 	if out.RolledBack {
 		rb := out.Rollback
@@ -471,26 +359,6 @@ func main() {
 	}
 }
 
-// configure installs the vendor's controller tuning on each rollout.
-func configure(parallel int, srv *transport.Server, getMonitor func() *fleetwatch.Monitor) func(*deploy.Controller) {
-	return func(ctl *deploy.Controller) {
-		ctl.Parallelism = parallel
-		ctl.Transfer = srv.TransferSnapshot
-		// Each gated wave's members become peer chunk servers for the
-		// waves that follow, and the drift monitor treats their clusters
-		// as rep-invalidated on any member change — one hook feeding both
-		// the swarm tier and drift classification.
-		ctl.GatedMembers = func(names []string) {
-			srv.MarkPeerEligible(names)
-			if m := getMonitor(); m != nil {
-				m.MarkGated(names)
-			}
-		}
-		// Chunks moved while restoring members book as ChunksRolledBack.
-		ctl.RollbackMode = srv.SetRollbackMode
-	}
-}
-
 func saveURR(urr *report.URR, path string) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -505,75 +373,27 @@ func saveURR(urr *report.URR, path string) {
 	slog.Info("saved report repository", "reports", urr.Len(), "path", path)
 }
 
-func parsePolicy(s string) deploy.Policy {
-	policy, ok := staging.ParsePolicy(s)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", s)
-		os.Exit(exitUsage)
-	}
-	return policy
-}
-
-// mysql4 is the baseline artifact a rollback restores: the version the
-// fleet ran before the rollout. The agents' self-seeded caches still
-// hold its chunks, so reverse manifests resolve almost entirely from
-// cache.
-func mysql4() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-4.1.22",
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: "4.1.22", Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 4.1.22"), Version: "4.1.22"},
-			{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib, Data: []byte("libmysqlclient 4.1"), Version: "4.1"},
-		}},
-	}
-}
-
-func mysql5() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-5.0.22",
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: "5.0.22", Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 5.0.22"), Version: "5.0.22"},
-			{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib, Data: []byte("libmysqlclient 5.0"), Version: "5.0"},
-		}},
-		Replaces: "4.1.22",
-	}
-}
-
-// fixer is the vendor debugging loop: inspect the failure signatures in
-// the URR and release a corrected upgrade addressing all of them.
-func fixer(urr *report.URR) deploy.Fixer {
-	return func(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
-		fixed := fixedRelease(up.ID + "-fix")
-		slog.Info("vendor debugging failures, releasing fix", "failures", len(failures), "release", fixed.ID)
-		return fixed, true
-	}
-}
-
-// fixedRelease builds the corrected upgrade under the given release ID.
-func fixedRelease(id string) *pkgmgr.Upgrade {
-	fixed := mysql5()
-	fixed.ID = id
-	fixed.Pkg.Files[1] = &machine.File{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
-		Data: []byte("libmysqlclient 5.0 php4-compat"), Version: "5.0"}
-	fixed.Migrations = []pkgmgr.FileEdit{
-		{Path: "/home/user/.my.cnf", Append: []byte("# migrated-for-5\n")},
-	}
-	return fixed
+// fix is the vendor debugging loop: release a corrected upgrade
+// addressing every reported failure.
+func fix(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
+	fixed := scenario.MySQLFixedUpgrade(up.ID + "-fix")
+	slog.Info("vendor debugging failures, releasing fix", "failures", len(failures), "release", fixed.ID)
+	return fixed, true
 }
 
 // rebuildRelease is the vendor's release store for journal resume: it
-// maps any upgrade ID this vendor can have shipped — the original or a
-// "-fix" re-release — back to its artifact, so a resumed rollout
-// continues from the version the journal ended on.
+// maps any upgrade ID this vendor can have shipped — the original, a
+// "-fix" re-release, or the rollback baseline — back to its artifact, so
+// a resumed rollout continues from the version the journal ended on.
 func rebuildRelease(id string) (*pkgmgr.Upgrade, bool) {
-	if id == mysql5().ID {
-		return mysql5(), true
-	}
-	if id == mysql4().ID {
-		return mysql4(), true // the rollback baseline
-	}
-	if strings.HasSuffix(id, "-fix") && strings.HasPrefix(id, mysql5().ID) {
-		return fixedRelease(id), true
+	up, base := scenario.MySQLUpgrade(), scenario.MySQLBaseline()
+	switch {
+	case id == up.ID:
+		return up, true
+	case id == base.ID:
+		return base, true
+	case strings.HasSuffix(id, "-fix") && strings.HasPrefix(id, up.ID):
+		return scenario.MySQLFixedUpgrade(id), true
 	}
 	return nil, false
 }

@@ -26,74 +26,57 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/deploy"
 	"repro/internal/machine"
 	"repro/internal/orchestrator"
-	"repro/internal/pkgmgr"
 	"repro/internal/rollout"
+	"repro/internal/scenario"
 	"repro/internal/staging"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
+	"repro/internal/vendorstack"
 )
-
-func userMachine(name string) *machine.Machine {
-	m := machine.New(name)
-	m.SetEnv("HOME", "/home/user")
-	m.WriteFile(&machine.File{Path: apps.MySQLExec, Type: machine.TypeExecutable,
-		Data: []byte("mysqld 4.1.22"), Version: "4.1.22"})
-	m.InstallPackage(machine.PackageRef{Name: "mysql", Version: "4.1.22"}, []string{apps.MySQLExec})
-	return m
-}
-
-func mysql5() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-5.0.22",
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: "5.0.22", Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 5.0.22"), Version: "5.0.22"},
-		}},
-		Replaces: "4.1.22",
-	}
-}
-
-// mysql4 is the baseline artifact a rollback restores: version N kept
-// in the vendor's release store for exactly this purpose.
-func mysql4() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-4.1.22",
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: "4.1.22", Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 4.1.22"), Version: "4.1.22"},
-		}},
-		Replaces: "5.0.22",
-	}
-}
 
 func main() {
 	ctx := context.Background()
 
-	// 1. A networked fleet: vendor server, six agents over loopback TCP,
-	// grouped into three clusters of deployment. Chunks travel as binary
-	// frames on the control channel; a production fleet would additionally
-	// start each agent with -peer-listen so later waves pull chunk misses
-	// from already-gated peers.
-	srv, err := transport.Listen("127.0.0.1:0")
+	// 1. The vendor stack exactly as mirage-vendor builds it: transport
+	// server and an orchestrator journaling one file per rollout, sharing
+	// one telemetry registry and tracer that GET /metrics and
+	// GET /rollouts/{id}/trace serve. The production sizing knobs
+	// (Shards, WorkerBudget, MaxRollouts/MaxQueued) stay unset: a
+	// six-agent walkthrough needs none of them.
+	dir, err := os.MkdirTemp("", "mirage-control-plane")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
+	defer os.RemoveAll(dir)
+	stack, err := vendorstack.New(vendorstack.Config{
+		Listen: "127.0.0.1:0", Admin: "127.0.0.1:0", JournalDir: dir,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stack.Close()
+	srv, orch := stack.Server, stack.Orch
+
+	// 2. A networked fleet: six agents over loopback TCP, grouped into
+	// three clusters of deployment. Chunks travel as binary frames on the
+	// control channel; a production fleet would additionally start each
+	// agent with -peer-listen so later waves pull chunk misses from
+	// already-gated peers.
 	machines := map[string]*machine.Machine{}
 	var names []string
 	for c := 0; c < 3; c++ {
 		for _, role := range []string{"rep", "oth"} {
 			name := fmt.Sprintf("c%d-%s", c, role)
 			names = append(names, name)
-			machines[name] = userMachine(name)
+			machines[name] = scenario.BuildMySQLMachine(scenario.MySQLMachineSpec{Name: name, Distro: "ubt"})
 			go transport.NewAgent(machines[name]).Run(srv.Addr())
 		}
 	}
@@ -112,70 +95,46 @@ func main() {
 		return cs
 	}
 
-	// 2. The control plane: an orchestrator journaling one file per
-	// rollout, exposed over HTTP exactly as mirage-vendor -serve mounts it.
-	dir, err := os.MkdirTemp("", "mirage-control-plane")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	orch := orchestrator.New(dir)
-	// One telemetry registry and tracer for the whole control plane: the
-	// transport books per-op RPC latency into the registry, every rollout
-	// records a span trace, and GET /metrics / GET /rollouts/{id}/trace
-	// serve both — exactly how mirage-vendor wires them.
-	telem := telemetry.NewRegistry()
-	srv.Telemetry = telem
-	orch.Telemetry = telem
-	orch.Tracer = &telemetry.Tracer{}
-	// Production sizing knobs (all exposed as mirage-vendor flags): the
-	// agent registry shards with -shards (default 4x GOMAXPROCS — matters
-	// from ~10k agents up); orch.Budget = deploy.NewBudget(n) is
-	// -worker-budget, one vendor-wide cap on in-flight member RPCs shared
-	// by every rollout; orch.MaxActive/MaxQueued are
-	// -max-rollouts/-max-queued — beyond them POST /rollouts returns 429
-	// with a Retry-After header. Unset here: a six-agent walkthrough
-	// needs none of them.
+	// The admin API, served exactly as mirage-vendor -serve serves it.
 	// rbClusters is filled in act 7: the fleet the rollback walkthrough
 	// runs over. The launcher routes armed requests to it.
 	var rbClusters []*deploy.Cluster
-	api := &orchestrator.API{
-		Orch: orch,
-		Launch: func(req orchestrator.StartRequest) (orchestrator.Spec, error) {
-			policy := deploy.PolicyBalanced
-			if req.Policy != "" {
-				if p, ok := staging.ParsePolicy(req.Policy); ok {
-					policy = p
-				}
+	admin, err := stack.Serve(ctx, func(req orchestrator.StartRequest) (orchestrator.Spec, error) {
+		policy := deploy.PolicyBalanced
+		if req.Policy != "" {
+			if p, ok := staging.ParsePolicy(req.Policy); ok {
+				policy = p
 			}
-			if req.AutoRollback {
-				return orchestrator.Spec{
-					Policy:       policy,
-					Upgrade:      mysql5(),
-					Clusters:     rbClusters,
-					Baseline:     mysql4(),
-					AutoRollback: true,
-					Gate:         req.GatePolicy(),
-					Journal:      req.Journal,
-					Resume:       req.Resume,
-				}, nil
-			}
+		}
+		if req.AutoRollback {
 			return orchestrator.Spec{
-				Policy:   policy,
-				Upgrade:  mysql5(),
-				Clusters: clusters(),
-				Drift:    req.DriftPolicy(),
-				Journal:  req.Journal,
-				Resume:   req.Resume,
+				Policy:       policy,
+				Upgrade:      scenario.MySQLUpgrade(),
+				Clusters:     rbClusters,
+				Baseline:     scenario.MySQLBaseline(),
+				AutoRollback: true,
+				Gate:         req.GatePolicy(),
+				Journal:      req.Journal,
+				Resume:       req.Resume,
 			}, nil
-		},
+		}
+		return orchestrator.Spec{
+			Policy:   policy,
+			Upgrade:  scenario.MySQLUpgrade(),
+			Clusters: clusters(),
+			Drift:    req.DriftPolicy(),
+			Journal:  req.Journal,
+			Resume:   req.Resume,
+		}, nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	web := httptest.NewServer(api.Handler())
-	defer web.Close()
-	fmt.Printf("control plane on %s\n", web.URL)
+	base := "http://" + admin
+	fmt.Printf("control plane on %s\n", base)
 
 	// 3. From here on we are an HTTP client only — the mirage-ctl library.
-	ctl := &orchestrator.Client{Base: web.URL, HTTP: &http.Client{}}
+	ctl := &orchestrator.Client{Base: base, HTTP: &http.Client{}}
 
 	st, err := ctl.Start(ctx, orchestrator.StartRequest{Policy: "balanced"})
 	if err != nil {
@@ -265,11 +224,7 @@ func main() {
 		for _, role := range []string{"rep", "oth"} {
 			name := fmt.Sprintf("rb-c%d-%s", c, role)
 			rbNames = append(rbNames, name)
-			m := userMachine(name)
-			if c == 1 {
-				m.WriteFile(&machine.File{Path: "/home/user/.my.cnf", Type: machine.TypeConfig,
-					Data: []byte("[mysqld]\nold-passwords\nset-variable = key_buffer=16M\n")})
-			}
+			m := scenario.BuildMySQLMachine(scenario.MySQLMachineSpec{Name: name, Distro: "ubt", UserCnf: c == 1})
 			machines[name] = m
 			go transport.NewAgent(m).Run(srv.Addr())
 		}
@@ -329,7 +284,7 @@ func main() {
 	// events come from the fleetwatch monitor folding agents' -watch
 	// profile-delta pushes; this walkthrough fleet was clustered by hand,
 	// so we bridge one event into the orchestrator directly, exactly as
-	// the vendor's delta handler does.
+	// the vendor stack's drift bridge does.
 	var st4 orchestrator.Status
 	for attempt := 0; ; attempt++ {
 		if st4, err = ctl.Start(ctx, orchestrator.StartRequest{
@@ -379,7 +334,7 @@ func main() {
 	// MIRAGE_METRICS_OUT / MIRAGE_TRACE_OUT set the scrapes are saved to
 	// files; CI runs this program exactly that way and asserts on them.
 	fetch := func(path string) []byte {
-		resp, err := http.Get(web.URL + path)
+		resp, err := http.Get(base + path)
 		if err != nil {
 			log.Fatal(err)
 		}

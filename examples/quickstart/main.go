@@ -23,6 +23,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
+	"repro/internal/scenario"
 )
 
 func file(path string, t machine.FileType, data, version string) *machine.File {
@@ -84,27 +85,13 @@ func main() {
 	}
 
 	// 4. The upgrade, and the vendor's debugging loop.
-	upgrade := &pkgmgr.Upgrade{
-		ID: "mysql-5.0.22",
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: "5.0.22", Files: []*machine.File{
-			file(apps.MySQLExec, machine.TypeExecutable, "mysqld 5.0.22", "5.0.22"),
-			file(apps.LibMySQLPath, machine.TypeSharedLib, "libmysqlclient 5.0", "5.0"),
-		}},
-		Replaces: "4.1.22",
-	}
+	upgrade := scenario.MySQLUpgrade()
 	vendor.Repo.Add(upgrade.Pkg)
 
 	fix := func(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
 		fmt.Printf("vendor: %d failure report(s); first: %v from %s\n",
 			len(failures), failures[0].FailedApps, failures[0].Machine)
-		fixed := &pkgmgr.Upgrade{
-			ID: "mysql-5.0.22b",
-			Pkg: &pkgmgr.Package{Name: "mysql", Version: "5.0.22", Files: []*machine.File{
-				file(apps.MySQLExec, machine.TypeExecutable, "mysqld 5.0.22", "5.0.22"),
-				file(apps.LibMySQLPath, machine.TypeSharedLib, "libmysqlclient 5.0 php4-compat", "5.0"),
-			}},
-			Replaces: "4.1.22",
-		}
+		fixed := scenario.MySQLFixedUpgrade("mysql-5.0.22b")
 		vendor.Repo.Add(fixed.Pkg)
 		return fixed, true
 	}

@@ -16,23 +16,24 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/cluster"
 	"repro/internal/deploy"
 	"repro/internal/machine"
-	"repro/internal/parser"
+	"repro/internal/orchestrator"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/transport"
+	"repro/internal/vendorstack"
 )
 
 func main() {
 	ctx := context.Background()
-	srv, err := transport.Listen("127.0.0.1:0")
+	st, err := vendorstack.New(vendorstack.Config{Listen: "127.0.0.1:0", Diameter: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
+	defer st.Close()
+	srv := st.Server
 	fmt.Printf("vendor listening on %s\n", srv.Addr())
 
 	// Launch eight agents: plain Ubuntu boxes, PHP 4 machines, a legacy
@@ -82,18 +83,10 @@ func main() {
 	}
 
 	// Fingerprint the fleet over the wire and cluster it.
-	regCfg := transport.MirageRegistryConfig()
-	reg, err := transport.BuildRegistry(regCfg)
+	rc, err := st.Profile(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	refs := scenario.MySQLResourceRefs()
-	vendorItems := parser.NewFingerprinter(reg).Fingerprint(scenario.MySQLVendorReference(), refs)
-	rc, err := srv.ClusterRemote(ctx, "mysql", refs, regCfg, vendorItems, cluster.Config{Diameter: 3}, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dcs := rc.Deploy
 	fmt.Printf("clustered into %d clusters:\n", len(rc.Clusters))
 	for _, c := range rc.Clusters {
 		fmt.Printf("  distance %2d: %v\n", c.Distance, c.Machines)
@@ -102,14 +95,23 @@ func main() {
 
 	// Stage the deployment with the Balanced protocol.
 	urr := report.New()
-	ctl := deploy.NewController(urr, func(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
-		fmt.Printf("vendor: debugging %d failure report(s):\n", len(failures))
-		for _, g := range urr.GroupFailures(up.ID) {
-			fmt.Printf("  %s (clusters %v, %d report(s))\n", g.Signature, g.Clusters, len(g.Reports))
-		}
-		return fixedUpgrade(), true
+	h, err := st.Orch.Start(ctx, orchestrator.Spec{
+		Policy:   deploy.PolicyBalanced,
+		Upgrade:  scenario.MySQLUpgrade(),
+		Clusters: rc.Deploy,
+		URR:      urr,
+		Fix: func(up *pkgmgr.Upgrade, failures []*report.Report) (*pkgmgr.Upgrade, bool) {
+			fmt.Printf("vendor: debugging %d failure report(s):\n", len(failures))
+			for _, g := range urr.GroupFailures(up.ID) {
+				fmt.Printf("  %s (clusters %v, %d report(s))\n", g.Signature, g.Clusters, len(g.Reports))
+			}
+			return scenario.MySQLFixedUpgrade("mysql-5.0.22b"), true
+		},
 	})
-	out, err := ctl.Deploy(ctx, deploy.PolicyBalanced, mysql5(), dcs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, err := h.Wait(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -128,26 +130,4 @@ func main() {
 		}
 		fmt.Printf("  %-22s mysql=%s (%s) php=%s\n", name, ref.Version, my, php)
 	}
-}
-
-func mysql5() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-5.0.22",
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: "5.0.22", Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 5.0.22"), Version: "5.0.22"},
-			{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib, Data: []byte("libmysqlclient 5.0"), Version: "5.0"},
-		}},
-		Replaces: "4.1.22",
-	}
-}
-
-func fixedUpgrade() *pkgmgr.Upgrade {
-	up := mysql5()
-	up.ID = "mysql-5.0.22b"
-	up.Pkg.Files[1] = &machine.File{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
-		Data: []byte("libmysqlclient 5.0 php4-compat"), Version: "5.0"}
-	up.Migrations = []pkgmgr.FileEdit{
-		{Path: "/home/user/.my.cnf", Append: []byte("# migrated-for-5\n")},
-	}
-	return up
 }

@@ -1,7 +1,8 @@
 // Package chaos is the end-to-end robustness harness: it stands up a
 // small clustered fleet of real simulated machines behind real transport
-// agents (TCP or in-process pipes), arms a seeded transport.FaultPlan,
-// and drives a journaled staged rollout through rollout.Engine — canary
+// agents (TCP or in-process pipes) on the production vendor stack
+// (internal/vendorstack), arms a seeded transport.FaultPlan, and drives a
+// journaled staged rollout through the stack's orchestrator — canary
 // gate, Fixer debug loop, automatic rollback and all. A chaos run must
 // end in one of the journal's terminal states with zero members
 // stranded, and because the fault plan is seeded, a failing run replays
@@ -22,16 +23,16 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/cluster"
 	"repro/internal/deploy"
 	"repro/internal/machine"
-	"repro/internal/parser"
+	"repro/internal/orchestrator"
 	"repro/internal/pkgmgr"
 	"repro/internal/report"
 	"repro/internal/rollout"
 	"repro/internal/scenario"
 	"repro/internal/staging"
 	"repro/internal/transport"
+	"repro/internal/vendorstack"
 )
 
 // Terminal states a chaos run can end in, read back from the journal —
@@ -61,10 +62,8 @@ type Options struct {
 	// false injects agents as net.Pipe pairs (same protocol, zero
 	// descriptors).
 	TCP bool
-	// Faults is the seeded chaos schedule, armed on the vendor server
-	// after enrollment (identification and clustering run clean — the
-	// model is a fleet that degrades after sign-up, not one that can
-	// never enroll).
+	// Faults is the seeded chaos schedule, armed once the fleet has
+	// enrolled and been profiled (vendorstack.Stack.Profile).
 	Faults transport.FaultPlan
 	// Policy is the staging policy (default balanced).
 	Policy deploy.Policy
@@ -115,57 +114,19 @@ const (
 	UpgradeVersion  = "5.0.22"
 )
 
-// Baseline returns the version-N artifact a rollback restores: the
-// MySQL 4.1.22 the whole fleet runs before the experiment. Its chunks
-// are exactly what the agents' self-seeded caches already hold.
-func Baseline() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-" + BaselineVersion,
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: BaselineVersion, Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable,
-				Data: []byte("mysqld " + BaselineVersion), Version: BaselineVersion},
-			{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
-				Data: []byte("libmysqlclient 4.1"), Version: "4.1"},
-		}},
-		Replaces: UpgradeVersion,
-	}
-}
-
-// Upgrade returns the MySQL 4->5 artifact under test — the one whose
-// client library genuinely breaks PHP 4 dependents.
-func Upgrade() *pkgmgr.Upgrade {
-	return &pkgmgr.Upgrade{
-		ID: "mysql-" + UpgradeVersion,
-		Pkg: &pkgmgr.Package{Name: "mysql", Version: UpgradeVersion, Files: []*machine.File{
-			{Path: apps.MySQLExec, Type: machine.TypeExecutable,
-				Data: []byte("mysqld " + UpgradeVersion), Version: UpgradeVersion},
-			{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
-				Data: []byte("libmysqlclient 5.0"), Version: "5.0"},
-		}},
-		Replaces: BaselineVersion,
-	}
-}
-
-// Fixed returns the corrected build the Fixer releases: same server,
+// fixedID names the corrected build the Fixer releases: same server,
 // client library rebuilt with php4 compatibility.
-func Fixed() *pkgmgr.Upgrade {
-	up := Upgrade()
-	up.ID = "mysql-" + UpgradeVersion + "b"
-	up.Pkg.Files[1] = &machine.File{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
-		Data: []byte("libmysqlclient 5.0 php4-compat"), Version: "5.0"}
-	return up
-}
+const fixedID = "mysql-" + UpgradeVersion + "b"
 
 // Rebuild maps journaled upgrade IDs back to artifacts — the harness's
 // release store, for crash-resume and rollback.
 func Rebuild(id string) (*pkgmgr.Upgrade, bool) {
-	switch id {
-	case Baseline().ID:
-		return Baseline(), true
-	case Upgrade().ID:
-		return Upgrade(), true
-	case Fixed().ID:
-		return Fixed(), true
+	for _, up := range []*pkgmgr.Upgrade{
+		scenario.MySQLBaseline(), scenario.MySQLUpgrade(), scenario.MySQLFixedUpgrade(fixedID),
+	} {
+		if up.ID == id {
+			return up, true
+		}
 	}
 	return nil, false
 }
@@ -225,21 +186,20 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if len(opts.Fleet) == 0 {
 		opts.Fleet = ConvergeFleet(2)
 	}
-	policy := opts.Policy // zero value is PolicyBalanced
-
 	machines := make([]*machine.Machine, len(opts.Fleet))
 	for i, sp := range opts.Fleet {
 		machines[i] = scenario.BuildMySQLMachine(sp)
 	}
 
-	srv, err := transport.Listen("127.0.0.1:0")
+	st, err := vendorstack.New(vendorstack.Config{Listen: "127.0.0.1:0", Diameter: 3})
 	if err != nil {
 		return nil, err
 	}
+	srv := st.Server
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	defer wg.Wait()   // after the conns die, collect the agent goroutines
-	defer srv.Close() // tears down every registered conn, ending sessions
+	defer st.Close()  // tears down every registered conn, ending sessions
 	defer close(stop) // stops reconnect loops from coming back
 	for _, m := range machines {
 		a := transport.NewAgent(m)
@@ -265,54 +225,45 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if err := enroll(ctx, srv, machines); err != nil {
 		return nil, err
 	}
-	refs := scenario.MySQLResourceRefs()
-	regCfg := transport.MirageRegistryConfig()
-	reg, err := transport.BuildRegistry(regCfg)
+	rc, err := st.Profile(ctx)
 	if err != nil {
 		return nil, err
 	}
-	vendorItems := parser.NewFingerprinter(reg).Fingerprint(scenario.MySQLVendorReference(), refs)
-	rc, err := srv.ClusterRemote(ctx, "mysql", refs, regCfg, vendorItems, cluster.Config{Diameter: 3}, 1)
-	if err != nil {
-		return nil, err
-	}
-
-	// Enrollment is done — the storm begins.
+	// Enrollment and clustering ran clean; the storm begins.
 	srv.Faults = transport.NewFaultInjector(opts.Faults)
 
-	fixed := Fixed()
-	var fixer deploy.Fixer
-	if opts.Fix {
-		fixer = func(up *pkgmgr.Upgrade, fails []*report.Report) (*pkgmgr.Upgrade, bool) {
-			return fixed, true
-		}
-	} else {
-		fixer = func(up *pkgmgr.Upgrade, fails []*report.Report) (*pkgmgr.Upgrade, bool) {
+	fixed := scenario.MySQLFixedUpgrade(fixedID)
+	fixer := func(*pkgmgr.Upgrade, []*report.Report) (*pkgmgr.Upgrade, bool) {
+		if !opts.Fix {
 			return nil, false
 		}
+		return fixed, true
 	}
-	ctl := deploy.NewController(report.New(), fixer)
-	ctl.Transfer = srv.TransferSnapshot
-	ctl.Gate = opts.Gate
-	ctl.RollbackMode = srv.SetRollbackMode
-	ctl.GatedMembers = srv.MarkPeerEligible
-	ctl.TransientRetries = opts.Retries
-	if ctl.TransientRetries == 0 {
-		ctl.TransientRetries = 8
-	}
-	ctl.RetryBackoff = opts.Backoff
-	if ctl.RetryBackoff <= 0 {
-		ctl.RetryBackoff = 2 * time.Millisecond
-	}
-
-	eng := &rollout.Engine{
-		Controller:   ctl,
-		Path:         opts.Journal,
-		Baseline:     Baseline(),
+	h, err := st.Orch.Start(ctx, orchestrator.Spec{
+		Policy:   opts.Policy, // zero value is PolicyBalanced
+		Upgrade:  scenario.MySQLUpgrade(),
+		Clusters: rc.Deploy,
+		Fix:      fixer,
+		Journal:  opts.Journal,
+		Rebuild:  Rebuild,
+		Configure: func(ctl *deploy.Controller) {
+			ctl.TransientRetries = opts.Retries
+			if ctl.TransientRetries == 0 {
+				ctl.TransientRetries = 8
+			}
+			ctl.RetryBackoff = opts.Backoff
+			if ctl.RetryBackoff <= 0 {
+				ctl.RetryBackoff = 2 * time.Millisecond
+			}
+		},
+		Gate:         opts.Gate,
+		Baseline:     scenario.MySQLBaseline(),
 		AutoRollback: opts.AutoRollback,
-		Rebuild:      Rebuild,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("chaos: rollout: %w", err)
 	}
-	out, err := eng.Deploy(ctx, policy, Upgrade(), rc.Deploy)
+	out, err := h.Wait(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: rollout: %w", err)
 	}
@@ -325,10 +276,10 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		Terminal:       term,
 		Outcome:        out,
 		Clusters:       len(rc.Clusters),
-		FaultsInjected: srv.Faults.Injected(),
+		FaultsInjected: srv.Stats().FaultsInjected,
 		Machines:       machines,
 	}
-	res.Stranded = stranded(machines, out, Baseline().ID)
+	res.Stranded = stranded(machines, out, scenario.MySQLBaseline().ID)
 	return res, nil
 }
 

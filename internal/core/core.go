@@ -51,12 +51,6 @@ type Vendor struct {
 	// The clustering result is identical at any setting.
 	ProfileParallelism int
 
-	// Transfer, when set, is installed on the deployment controller so
-	// StageDeployment records the rollout's wire traffic in the Outcome.
-	// Local in-process fleets move no bytes; a vendor driving a networked
-	// fleet plugs in transport.Server.TransferSnapshot here.
-	Transfer func() deploy.TransferStats
-
 	// JournalPath, when set, makes StageDeployment a durable rollout: it
 	// routes through the rollout engine, journaling every state
 	// transition to this file. ResumeJournal resumes the rollout the file
@@ -320,32 +314,16 @@ func (v *Vendor) ClusterFleet(ctx context.Context, f *Fleet, app string, cfg clu
 	return &Clustering{App: app, Clusters: clusters, Deploy: dcs}, nil
 }
 
-// DeploymentSpec builds the orchestrator spec StageDeployment and
-// StartDeployment submit: the vendor's URR, transfer counters, journal
-// configuration and release store, over the clustering's clusters of
-// deployment.
-func (v *Vendor) DeploymentSpec(policy deploy.Policy, up *pkgmgr.Upgrade, cl *Clustering, fix deploy.Fixer) orchestrator.Spec {
-	return orchestrator.Spec{
-		Policy:   policy,
-		Upgrade:  up,
-		Clusters: cl.Deploy,
-		Fix:      fix,
-		URR:      v.URR,
-		Journal:  v.JournalPath,
-		Resume:   v.ResumeJournal,
-		Rebuild:  v.RebuildUpgrade,
-		Configure: func(ctl *deploy.Controller) {
-			ctl.Transfer = v.Transfer
-		},
-	}
-}
-
 // StartDeployment launches the upgrade across the clustered fleet as a
-// rollout on orch and returns its handle — the cancellable, observable,
+// rollout on orch — with the vendor's URR, journal configuration and
+// release store — and returns its handle: the cancellable, observable,
 // pausable form of StageDeployment. Multiple deployments may run
 // concurrently on one orchestrator, each with its own journal.
 func (v *Vendor) StartDeployment(ctx context.Context, orch *orchestrator.Orchestrator, policy deploy.Policy, up *pkgmgr.Upgrade, cl *Clustering, fix deploy.Fixer) (*orchestrator.Handle, error) {
-	return orch.Start(ctx, v.DeploymentSpec(policy, up, cl, fix))
+	return orch.Start(ctx, orchestrator.Spec{
+		Policy: policy, Upgrade: up, Clusters: cl.Deploy, Fix: fix, URR: v.URR,
+		Journal: v.JournalPath, Resume: v.ResumeJournal, Rebuild: v.RebuildUpgrade,
+	})
 }
 
 // StageDeployment runs the upgrade across the clustered fleet under the

@@ -120,7 +120,7 @@ type API struct {
 	// default because the admin mux may be reachable beyond localhost.
 	EnablePprof bool
 	// FleetDrift, when set, serves the live drift monitor's state for
-	// GET /fleet/drift (mirage-vendor wires the fleetwatch monitor's
+	// GET /fleet/drift (internal/vendorstack wires the fleetwatch monitor's
 	// FleetView here). Nil makes the route a 501 — the orchestrator
 	// itself stays ignorant of how the fleet is watched.
 	FleetDrift func() (any, error)

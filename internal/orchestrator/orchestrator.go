@@ -205,6 +205,10 @@ type Orchestrator struct {
 	// MaxActive is 0.
 	MaxQueued int
 
+	// Configure, when set, is the vendor-wide controller hook: it runs on
+	// every controller the orchestrator starts, before Spec.Configure.
+	Configure func(*deploy.Controller)
+
 	// Telemetry, when set, is the vendor-wide metrics registry. The
 	// orchestrator records admission-queue wait and stage barrier hold
 	// time into it and installs it on every controller and journal it
@@ -272,6 +276,9 @@ func (o *Orchestrator) Start(ctx context.Context, spec Spec) (*Handle, error) {
 		urr = report.New()
 	}
 	ctl := deploy.NewController(urr, spec.Fix)
+	if o.Configure != nil {
+		o.Configure(ctl)
+	}
 	if spec.Configure != nil {
 		spec.Configure(ctl)
 	}

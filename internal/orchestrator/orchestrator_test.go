@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -538,5 +539,33 @@ func TestStartValidation(t *testing.T) {
 	}
 	if _, err := orch.Start(context.Background(), Spec{Upgrade: upgrade("v1"), Clusters: fleet("x", 1, nil), Resume: true}); err == nil {
 		t.Fatal("resume without journal accepted")
+	}
+}
+
+// TestOrchestratorConfigureRunsBeforeSpec: the vendor-wide hook tunes
+// every rollout's controller, and a spec's own Configure runs after it.
+func TestOrchestratorConfigureRunsBeforeSpec(t *testing.T) {
+	orch := New("")
+	var calls []string
+	orch.Configure = func(ctl *deploy.Controller) {
+		calls = append(calls, "orchestrator")
+		ctl.Parallelism = 7
+	}
+	h, err := orch.Start(context.Background(), Spec{
+		Policy:   deploy.PolicyBalanced,
+		Upgrade:  upgrade("v1"),
+		Clusters: fleet("oc", 2, nil),
+		Configure: func(ctl *deploy.Controller) {
+			calls = append(calls, fmt.Sprintf("spec sees parallelism %d", ctl.Parallelism))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"orchestrator", "spec sees parallelism 7"}; !slices.Equal(calls, want) {
+		t.Fatalf("hooks ran as %q, want %q", calls, want)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/machine"
 	"repro/internal/parser"
+	"repro/internal/pkgmgr"
 )
 
 // MySQLProblemPHP and MySQLProblemMyCnf label the two upgrade problems of
@@ -156,6 +157,45 @@ func MySQLVendorReference() *machine.Machine {
 	return m
 }
 
+// MySQLBaseline returns MySQL 4.1.22, the release every Table 2 machine
+// runs before the experiment: what a rollback restores. The agents'
+// self-seeded chunk caches already hold its chunks.
+func MySQLBaseline() *pkgmgr.Upgrade {
+	return &pkgmgr.Upgrade{
+		ID: "mysql-4.1.22",
+		Pkg: &pkgmgr.Package{Name: "mysql", Version: "4.1.22", Files: []*machine.File{
+			{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 4.1.22"), Version: "4.1.22"},
+			{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib, Data: []byte("libmysqlclient 4.1"), Version: "4.1"},
+		}},
+		Replaces: "5.0.22",
+	}
+}
+
+// MySQLUpgrade returns the MySQL 4->5 upgrade under test, whose client
+// library breaks PHP 4 dependents.
+func MySQLUpgrade() *pkgmgr.Upgrade {
+	return &pkgmgr.Upgrade{
+		ID: "mysql-5.0.22",
+		Pkg: &pkgmgr.Package{Name: "mysql", Version: "5.0.22", Files: []*machine.File{
+			{Path: apps.MySQLExec, Type: machine.TypeExecutable, Data: []byte("mysqld 5.0.22"), Version: "5.0.22"},
+			{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib, Data: []byte("libmysqlclient 5.0"), Version: "5.0"},
+		}},
+		Replaces: "4.1.22",
+	}
+}
+
+// MySQLFixedUpgrade returns the vendor's corrected MySQL 5 release under
+// the given ID: the client library rebuilt with PHP 4 compatibility, and a
+// migration of the legacy user configuration.
+func MySQLFixedUpgrade(id string) *pkgmgr.Upgrade {
+	up := MySQLUpgrade()
+	up.ID = id
+	up.Pkg.Files[1] = &machine.File{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
+		Data: []byte("libmysqlclient 5.0 php4-compat"), Version: "5.0"}
+	up.Migrations = []pkgmgr.FileEdit{{Path: "/home/user/.my.cnf", Append: []byte("# migrated-for-5\n")}}
+	return up
+}
+
 // MySQLResourceRefs is the environmental resource reference list for the
 // MySQL clustering experiments: the union over machines of MySQL's
 // environment (identification would produce these per machine; the union
@@ -239,10 +279,9 @@ func VerifyMySQLBehavior() cluster.Behavior {
 		m := BuildMySQLMachine(spec)
 		// Apply the upgrade the way the package manager would: new server
 		// binary and new client library.
-		m.WriteFile(&machine.File{Path: apps.MySQLExec, Type: machine.TypeExecutable,
-			Data: []byte("mysqld 5.0.22"), Version: "5.0.22"})
-		m.WriteFile(&machine.File{Path: apps.LibMySQLPath, Type: machine.TypeSharedLib,
-			Data: []byte("libmysqlclient 5.0"), Version: "5.0"})
+		for _, f := range MySQLUpgrade().Pkg.Files {
+			m.WriteFile(f)
+		}
 
 		behavior := ""
 		if tr := (apps.MySQL{}).Run(m, []string{"SELECT 1"}); tr.ExitStatus() == "crash" {

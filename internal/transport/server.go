@@ -418,7 +418,7 @@ type Server struct {
 	// pushes. Returning resync=true asks the agent to re-send its complete
 	// profile (Status "resync"); an error refuses the push. Unset, the
 	// server refuses deltas — drift detection is opt-in vendor wiring
-	// (mirage-vendor bridges this to a fleetwatch.Monitor). Set it before
+	// (internal/vendorstack bridges this to a fleetwatch.Monitor). Set it before
 	// serving starts.
 	OnProfileDelta func(req *ProfileDeltaReq) (resync bool, err error)
 
@@ -645,9 +645,6 @@ func (s *Server) Close() error {
 	s.serving.Wait()
 	return err
 }
-
-// Shutdown is Close under the name net/http made idiomatic.
-func (s *Server) Shutdown() error { return s.Close() }
 
 // isClosed reports whether Close has begun.
 func (s *Server) isClosed() bool {
